@@ -49,7 +49,7 @@ CORPUS = [
 
 
 def main() -> None:
-    spec = SplitSpec(train_fraction=0.9, folds=3, rng_seed=0)
+    spec = SplitSpec(folds=3, rng_seed=0)
     report = loco_evaluate(CORPUS, spec)
 
     print(f"cross-validated accuracy over {spec.folds} folds")

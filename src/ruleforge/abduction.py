@@ -127,13 +127,11 @@ class GeneratedRule:
     """One synthesized rule plus where it came from.
 
     changes maps every graph attribute to kept/replaced/dropped/inserted.
-    sid stays None until materialize_snort_rules allocates the batch.
     """
 
     rule: ParsedRule
     seed_sid: int
     changes: dict[str, str]
-    sid: int | None = None
 
 
 @dataclass
@@ -306,24 +304,20 @@ def materialize_snort_rules(
     generated: Sequence[GeneratedRule],
     category: str,
     sid_base: int = DEFAULT_SID_BASE,
-    *,
-    sid_floor: int = DEFAULT_SID_BASE,
 ) -> str:
-    """Assign identity metadata and serialize the batch to rules-file text.
+    """Serialize the batch to rules-file text with fresh identity metadata.
 
     Each rule gets msg "<CATEGORY> Generated rule alert from ID-<sid>",
-    rev 1, and a sequential sid starting at sid_base.
+    rev 1, and a sequential sid starting at sid_base. The generated rules
+    themselves are left unchanged.
     """
-    if sid_base < sid_floor:
-        raise ValueError(f"sid_base {sid_base} is below the floor {sid_floor}")
-    lines: list[str] = []
-    for offset, gen in enumerate(generated):
-        sid = sid_base + offset
-        gen.sid = sid
-        gen.rule.sid = sid
-        gen.rule.rev = 1
-        gen.rule.msg = f"{category} Generated rule alert from ID-{sid}"
-        lines.append(serialize_rule(gen.rule, require_sid=True))
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+    if sid_base < DEFAULT_SID_BASE:
+        raise ValueError(f"sid_base {sid_base} is below the floor {DEFAULT_SID_BASE}")
+    return "".join(
+        serialize_rule(
+            replace(gen.rule, sid=sid, rev=1, msg=f"{category} Generated rule alert from ID-{sid}"),
+            require_sid=True,
+        )
+        + "\n"
+        for sid, gen in enumerate(generated, start=sid_base)
+    )

@@ -5,8 +5,11 @@ Results go to stdout or --out; log lines go to stderr. Exit codes: 0 on
 success, 1 on usage/config errors, 2 on data errors (unreadable files, parse
 failures, unknown sids, ...).
 
-A flat key=value config file can preload any flag (--config FILE); flags
-given on the command line override the file.
+A flat key = value config file (--config FILE) can preload the flags. Its
+keys are the long names of any subcommand's flags (hyphens or underscores),
+its values are checked as strictly as on the command line, choices included,
+and a line whose first non-blank character is '#' is a comment. Flags given
+on the command line override the file.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ import argparse
 import csv
 import io
 import logging
-import os
 import sys
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from .abduction import (
     enumerate_rules,
     materialize_snort_rules,
 )
-from .bayes import SmoothedModel, fit, predict_distribution
+from .bayes import SMOOTHING_MODES, SmoothedModel, fit, predict_distribution
 from .clustering import DistanceParams, LINKAGES, agglomerate, build_distance_matrix
 from .encoding import (
     ExclusionList,
@@ -42,7 +44,6 @@ from .parser import IDENTITY_KEYS, ParsedRule, parse_ruleset, serialize_rule
 
 LOG = logging.getLogger("ruleforge")
 
-SMOOTHING_CHOICES = ("corpus", "conventional")
 STRATEGY_CHOICES = ("threshold", "topk", "mle")
 
 
@@ -66,78 +67,55 @@ _BOOL_WORDS = {
     "0": False,
 }
 
-# dest -> coercer for config-file values
-_CONFIG_TYPES = {
-    "rules": str,
-    "model": str,
-    "out": str,
-    "vocab_out": str,
-    "config": str,
-    "alpha": float,
-    "smoothing": str,
-    "skip_unk_evidence": bool,
-    "with_prior": bool,
-    "exclude": str,
-    "keep_constant": bool,
-    "seed_sid": int,
-    "target": str,
-    "strategy": str,
-    "topk": int,
-    "threshold": float,
-    "thresholds": str,
-    "limit": int,
-    "strict_limit": bool,
-    "allow_insertion": bool,
-    "sid_base": int,
-    "category": str,
-    "w1": float,
-    "w2": float,
-    "linkage": str,
-    "cut_count": int,
-    "cut_height": float,
-    "cluster_train_only": bool,
-    "with_clusters": bool,
-    "folds": int,
-    "train_fraction": float,
-    "seed": int,
-    "jobs": int,
-    "lint": bool,
-}
+def _config_fields() -> dict[str, argparse.Action]:
+    """Config key -> the action that declares it, over every subcommand."""
+    _, subs = build_parser()
+    fields: dict[str, argparse.Action] = {}
+    for sub in subs.values():
+        for action in sub._actions:
+            if action.dest not in ("help", "config"):
+                fields.setdefault(action.dest, action)
+    return fields
 
 
-def _coerce_config(key: str, raw: str):
-    kind = _CONFIG_TYPES[key]
-    if kind is bool:
+def _coerce_config(key: str, raw: str, action: argparse.Action):
+    if action.nargs == 0:  # store_true
         word = raw.strip().lower()
         if word not in _BOOL_WORDS:
             raise UsageError(f"config field {key!r}: expected a boolean, got {raw!r}")
         return _BOOL_WORDS[word]
+    kind = action.type or str
     try:
-        return kind(raw.strip())
+        value = kind(raw.strip())
     except ValueError:
         raise UsageError(
             f"config field {key!r}: expected {kind.__name__}, got {raw!r}"
         ) from None
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise UsageError(f"config field {key!r}: expected one of {choices}, got {raw!r}")
+    return value
 
 
 def load_config(path: str) -> dict:
-    """Read a flat key = value config file; '#' starts a comment."""
+    """Read a flat key = value config file; a line starting with '#' is a comment."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    fields = _config_fields()
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"{path}:{line_no}: expected key = value, got {raw!r}")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_TYPES:
+        if key not in fields:
             raise UsageError(f"{path}:{line_no}: unknown config field {key!r}")
-        values[key] = _coerce_config(key, value)
+        values[key] = _coerce_config(key, value, fields[key])
     return values
 
 
@@ -152,19 +130,21 @@ def _extract_config_path(argv: list[str]) -> str | None:
     return None
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> None:
     sub.add_argument("--config", help="flat key=value config file; flags override it")
     sub.add_argument(
-        "--seed", type=int, default=0, help="master seed for all randomness (default 0)"
+        "--out",
+        required=out_required,
+        help="file to write the results to" + ("" if out_required else " (default stdout)"),
     )
+
+
+def _add_exclude(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="maximum parallelism; execution is deterministic regardless "
-        "(current implementation runs serially)",
+        "--exclude",
+        default="",
+        help="comma-separated attribute keys to exclude from the vocabulary",
     )
-    sub.add_argument("--out", help="write results to this file instead of stdout")
 
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
@@ -173,7 +153,7 @@ def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--smoothing",
-        choices=SMOOTHING_CHOICES,
+        choices=SMOOTHING_MODES,
         default="corpus",
         help="denominator mass: 'corpus' uses the training-set size, "
         "'conventional' the target vocabulary size (default corpus)",
@@ -260,27 +240,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sub = commands.add_parser("train", help="fit the pairwise-conditional model")
     sub.add_argument("--rules", required=True, help="training rules file")
-    sub.add_argument("--out", required=True, help="model file to write")
     sub.add_argument("--vocab-out", help="also dump the vocabulary as JSON")
-    sub.add_argument(
-        "--exclude",
-        default="",
-        help="comma-separated attribute keys to exclude from the vocabulary",
-    )
+    _add_exclude(sub)
     sub.add_argument(
         "--keep-constant",
         action="store_true",
         help="keep attributes whose value is constant across the corpus",
     )
     _add_model_flags(sub)
-    sub.add_argument("--config", help="flat key=value config file; flags override it")
-    sub.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    sub.add_argument(
-        "--jobs",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="maximum parallelism; execution is deterministic regardless",
-    )
+    _add_common(sub, out_required=True)
     sub.set_defaults(handler=_cmd_train)
     subs["train"] = sub
 
@@ -334,16 +302,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--rules", required=True, help="rules file to evaluate on")
     sub.add_argument("--folds", type=int, default=10, help="fold count (default 10)")
     sub.add_argument(
-        "--train-fraction",
-        type=float,
-        default=0.9,
-        help="training fraction recorded in the split spec (default 0.9)",
+        "--seed",
+        type=int,
+        default=0,
+        help="seed of the fold split and the random baseline (default 0)",
     )
-    sub.add_argument(
-        "--exclude",
-        default="",
-        help="comma-separated attribute keys to exclude from the vocabulary",
-    )
+    _add_exclude(sub)
     sub.add_argument(
         "--with-clusters",
         action="store_true",
@@ -388,10 +352,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _write_output(args, text: str) -> None:
-    out = getattr(args, "out", None)
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-        LOG.info("command=%s wrote=%s bytes=%d", args.command, out, len(text))
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+        LOG.info("command=%s wrote=%s bytes=%d", args.command, args.out, len(text))
     else:
         sys.stdout.write(text)
 
@@ -404,23 +367,21 @@ def _read_rules(path: str) -> tuple[list[ParsedRule], list]:
     return rules, errors
 
 
-def _exclusions(args) -> ExclusionList:
-    extra = {
-        key.strip().lower()
-        for key in getattr(args, "exclude", "").split(",")
-        if key.strip()
-    }
+def _exclusions(args, drop_constant: bool) -> ExclusionList:
+    extra = {key.strip().lower() for key in args.exclude.split(",") if key.strip()}
     return ExclusionList(
-        excluded_keys=frozenset(IDENTITY_KEYS | extra),
-        drop_constant=not getattr(args, "keep_constant", False),
+        excluded_keys=frozenset(IDENTITY_KEYS | extra), drop_constant=drop_constant
     )
 
 
-def _seed_rule(rules: list[ParsedRule], sid: int, path: str) -> ParsedRule:
+def _load_seed(args) -> tuple[SmoothedModel, SeedObservation]:
+    """The --model file and the observation of the --rules rule with --seed-sid."""
+    model = SmoothedModel.load(args.model)
+    rules, _ = _read_rules(args.rules)
     for rule in rules:
-        if rule.sid == sid:
-            return rule
-    raise RuleforgeError(f"{path}: no rule with sid {sid}")
+        if rule.sid == args.seed_sid:
+            return model, SeedObservation.from_rule(rule, model.vocab)
+    raise RuleforgeError(f"{args.rules}: no rule with sid {args.seed_sid}")
 
 
 def _strategy(args) -> Strategy:
@@ -447,7 +408,7 @@ def _cmd_parse(args) -> int:
 
 def _cmd_train(args) -> int:
     rules, _ = _read_rules(args.rules)
-    vocab = build_vocabulary(rules, _exclusions(args))
+    vocab = build_vocabulary(rules, _exclusions(args, drop_constant=not args.keep_constant))
     encoded = encode_corpus(rules, vocab)
     model = fit(
         encoded,
@@ -471,11 +432,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_abduce(args) -> int:
-    model = SmoothedModel.load(args.model)
-    rules, _ = _read_rules(args.rules)
-    seed = SeedObservation.from_rule(
-        _seed_rule(rules, args.seed_sid, args.rules), model.vocab
-    )
+    model, seed = _load_seed(args)
     candidates = abduce_antecedents(
         model, seed, _strategy(args), allow_insertion=args.allow_insertion
     )
@@ -492,11 +449,7 @@ def _cmd_abduce(args) -> int:
 
 
 def _cmd_generate(args) -> int:
-    model = SmoothedModel.load(args.model)
-    rules, _ = _read_rules(args.rules)
-    seed = SeedObservation.from_rule(
-        _seed_rule(rules, args.seed_sid, args.rules), model.vocab
-    )
+    model, seed = _load_seed(args)
     candidates = abduce_antecedents(
         model, seed, _strategy(args), allow_insertion=args.allow_insertion
     )
@@ -538,17 +491,12 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     rules, _ = _read_rules(args.rules)
-    spec = SplitSpec(
-        train_fraction=args.train_fraction, folds=args.folds, rng_seed=args.seed
-    )
-    extra = {key.strip().lower() for key in args.exclude.split(",") if key.strip()}
+    spec = SplitSpec(folds=args.folds, rng_seed=args.seed)
     report = loco_evaluate(
         rules,
         spec,
         alpha=args.alpha,
-        exclude=ExclusionList(
-            excluded_keys=frozenset(IDENTITY_KEYS | extra), drop_constant=False
-        ),
+        exclude=_exclusions(args, drop_constant=False),
         smoothing=args.smoothing,
         skip_unk_evidence=args.skip_unk_evidence,
         with_prior=args.with_prior,
@@ -570,11 +518,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    model = SmoothedModel.load(args.model)
-    rules, _ = _read_rules(args.rules)
-    seed = SeedObservation.from_rule(
-        _seed_rule(rules, args.seed_sid, args.rules), model.vocab
-    )
+    model, seed = _load_seed(args)
     try:
         thresholds = [float(part) for part in args.thresholds.split(",") if part.strip()]
     except ValueError:

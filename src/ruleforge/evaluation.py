@@ -52,13 +52,10 @@ class InsufficientData(RuleforgeError):
 class SplitSpec:
     """Cross-validation configuration."""
 
-    train_fraction: float = 0.9
     folds: int = 10
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.train_fraction < 1.0:
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
 

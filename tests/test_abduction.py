@@ -4,6 +4,8 @@ The expected posterior fractions below were recomputed independently with
 exact rational arithmetic over the fixture corpora.
 """
 
+import copy
+
 import pytest
 
 from ruleforge import (
@@ -280,6 +282,14 @@ class TestMaterialize:
             materialize_snort_rules(list(result), "X", sid_base=100)
         custom = materialize_snort_rules(list(result), "X", sid_base=300000)
         assert parse_rule(custom.splitlines()[0]).sid == 300000
+
+    def test_leaves_generated_rules_unchanged(self, table2_rules):
+        result, _, _ = generate_from(table2_rules, 0, Strategy.threshold(0.01))
+        before = copy.deepcopy([gen.rule for gen in result])
+        first = materialize_snort_rules(list(result), "X")
+        assert materialize_snort_rules(list(result), "X") == first
+        assert [gen.rule for gen in result] == before
+        assert all(gen.rule.sid is None for gen in result)
 
     def test_empty_batch(self):
         assert materialize_snort_rules([], "X") == ""

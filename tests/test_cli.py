@@ -260,6 +260,24 @@ class TestGenerate:
         first = capsys.readouterr().out.splitlines()[0]
         assert parse_rule(first).sid == 900001
 
+    @pytest.mark.parametrize("defect", ["truncated", "no_num_samples", "row_1e6", "row_negative"])
+    def test_malformed_model_exits_2(self, tmp_path, table2_file, trained_model, defect):
+        text = (tmp_path / "model.json").read_text(encoding="utf-8")
+        if defect == "truncated":
+            text = text[: len(text) // 2]
+        else:
+            payload = json.loads(text)
+            if defect == "no_num_samples":
+                del payload["num_samples"]
+            else:
+                cells = next(c for row in payload["pairs"].values() for c in row.values() if c)
+                cells[0][0] = 10**6 if defect == "row_1e6" else -1
+            text = json.dumps(payload)
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        argv = ["generate", "--model", str(bad), "--rules", table2_file, "--seed-sid", "13162"]
+        assert run(argv) == 2
+
 
 class TestCluster:
     def test_csv_assignment(self, capsys, corpus):
@@ -411,6 +429,34 @@ class TestConfigFile:
         config = tmp_path / "forge.conf"
         config.write_text("alpha = not_a_number\n", encoding="utf-8")
         assert run(["parse", "--config", str(config), "--rules", table2_file]) == 1
+
+    def test_hash_inside_a_value_is_kept(self, tmp_path):
+        config = tmp_path / "forge.conf"
+        config.write_text(
+            "  # a comment\ncategory = RUN#3\nrules = /data/run#3/x.rules\n", encoding="utf-8"
+        )
+        loaded = load_config(str(config))
+        assert loaded == {"category": "RUN#3", "rules": "/data/run#3/x.rules"}
+
+    @pytest.mark.parametrize(
+        "line, command",
+        [
+            ("strategy = bogus", "generate"),
+            ("linkage = bogus", "cluster"),
+            ("smoothing = bogus", "train"),
+            ("jobs = 2", "parse"),
+        ],
+    )
+    def test_bad_or_removed_field_rejected(
+        self, tmp_path, table2_file, trained_model, line, command
+    ):
+        config = tmp_path / "forge.conf"
+        config.write_text(line + "\n", encoding="utf-8")
+        extra = {
+            "generate": ["--model", trained_model, "--seed-sid", "13162"],
+            "train": ["--out", str(tmp_path / "other.json")],
+        }.get(command, [])
+        assert run([command, "--config", str(config), "--rules", table2_file, *extra]) == 1
 
     def test_missing_config_file(self, table2_file):
         assert run(["parse", "--config", "/nonexistent.conf", "--rules", table2_file]) == 1

@@ -30,15 +30,10 @@ from ruleforge import (
 class TestSplitSpec:
     def test_defaults(self):
         spec = SplitSpec()
-        assert spec.train_fraction == 0.9
         assert spec.folds == 10
         assert spec.rng_seed == 0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SplitSpec(train_fraction=0.0)
-        with pytest.raises(ValueError):
-            SplitSpec(train_fraction=1.0)
         with pytest.raises(ValueError):
             SplitSpec(folds=1)
 
