@@ -2,14 +2,15 @@
 
 Subcommands: parse, train, abduce, generate, cluster, evaluate, sweep.
 Results go to stdout or --out; log lines go to stderr. Exit codes: 0 on
-success, 1 on usage/config errors, 2 on data errors (unreadable files, parse
-failures, unknown sids, ...).
+success, 1 on usage/config errors (out-of-range values included), 2 on data
+errors (unreadable files, parse failures, unknown sids, ...).
 
 A flat key = value config file (--config FILE) can preload the flags. Its
 keys are the long names of any subcommand's flags (hyphens or underscores),
-its values are checked as strictly as on the command line, choices included,
-and a line whose first non-blank character is '#' is a comment. Flags given
-on the command line override the file.
+its values are checked as strictly as on the command line, choices and
+ranges included, and a line whose first non-blank character is '#' is a
+comment. Flags given on the command line override the file, and the file may
+supply a flag that is otherwise required.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import csv
 import io
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -67,6 +69,31 @@ _BOOL_WORDS = {
     "0": False,
 }
 
+
+def _bounded(kind, description: str, accept):
+    """An argparse type: kind(text), kept only when accept(value) holds."""
+
+    def convert(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {description}, got {text!r}")
+        return value
+
+    return convert
+
+
+_FOLDS = _bounded(int, "an integer >= 2", lambda v: v >= 2)
+_TOPK = _bounded(int, "an integer >= 1", lambda v: v >= 1)
+_LIMIT = _bounded(int, "an integer >= 0", lambda v: v >= 0)
+_SID_BASE = _bounded(int, f"an integer >= {DEFAULT_SID_BASE}", lambda v: v >= DEFAULT_SID_BASE)
+_ALPHA = _bounded(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
+_NON_NEGATIVE = _bounded(float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
+_PROBABILITY = _bounded(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
+
+
 def _config_fields() -> dict[str, argparse.Action]:
     """Config key -> the action that declares it, over every subcommand."""
     _, subs = build_parser()
@@ -91,6 +118,8 @@ def _coerce_config(key: str, raw: str, action: argparse.Action):
         raise UsageError(
             f"config field {key!r}: expected {kind.__name__}, got {raw!r}"
         ) from None
+    except argparse.ArgumentTypeError as exc:
+        raise UsageError(f"config field {key!r}: {exc}") from None
     if action.choices is not None and value not in action.choices:
         choices = ", ".join(map(str, action.choices))
         raise UsageError(f"config field {key!r}: expected one of {choices}, got {raw!r}")
@@ -149,7 +178,7 @@ def _add_exclude(sub: argparse.ArgumentParser) -> None:
 
 def _add_model_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--alpha", type=float, default=1.0, help="smoothing constant (default 1.0)"
+        "--alpha", type=_ALPHA, default=1.0, help="smoothing constant, > 0 (default 1.0)"
     )
     sub.add_argument(
         "--smoothing",
@@ -179,12 +208,12 @@ def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--threshold",
-        type=float,
+        type=_PROBABILITY,
         default=0.01,
-        help="probability cutoff for the threshold strategy (default 0.01)",
+        help="probability cutoff in [0, 1] for the threshold strategy (default 0.01)",
     )
     sub.add_argument(
-        "--topk", type=int, default=3, help="k for the topk strategy (default 3)"
+        "--topk", type=_TOPK, default=3, help="k for the topk strategy, >= 1 (default 3)"
     )
     sub.add_argument(
         "--allow-insertion",
@@ -195,13 +224,16 @@ def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
 
 def _add_cluster_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--w1", type=float, default=1.0, help="weight of the key-set distance (default 1.0)"
+        "--w1",
+        type=_NON_NEGATIVE,
+        default=1.0,
+        help="weight of the key-set distance, >= 0 (default 1.0)",
     )
     sub.add_argument(
         "--w2",
-        type=float,
+        type=_NON_NEGATIVE,
         default=1.0,
-        help="weight of the per-attribute edit distance (default 1.0)",
+        help="weight of the per-attribute edit distance, >= 0 (default 1.0)",
     )
     sub.add_argument(
         "--linkage", choices=LINKAGES, default="average", help="linkage (default average)"
@@ -213,7 +245,10 @@ def _add_cluster_flags(sub: argparse.ArgumentParser) -> None:
         help="cut the dendrogram to this many clusters (default ceil(sqrt(n)))",
     )
     sub.add_argument(
-        "--cut-height", type=float, default=None, help="cut the dendrogram at this height"
+        "--cut-height",
+        type=_NON_NEGATIVE,
+        default=None,
+        help="cut the dendrogram at this height, >= 0",
     )
 
 
@@ -271,15 +306,15 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub.add_argument(
         "--sid-base",
-        type=int,
+        type=_SID_BASE,
         default=DEFAULT_SID_BASE,
         help=f"first sid to allocate (default {DEFAULT_SID_BASE})",
     )
     sub.add_argument(
         "--limit",
-        type=int,
+        type=_LIMIT,
         default=10_000,
-        help="maximum rules to enumerate (default 10000)",
+        help="maximum rules to enumerate, >= 0 (default 10000)",
     )
     sub.add_argument(
         "--strict-limit",
@@ -300,7 +335,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     sub = commands.add_parser("evaluate", help="cross-validated per-attribute accuracy")
     sub.add_argument("--rules", required=True, help="rules file to evaluate on")
-    sub.add_argument("--folds", type=int, default=10, help="fold count (default 10)")
+    sub.add_argument("--folds", type=_FOLDS, default=10, help="fold count, >= 2 (default 10)")
     sub.add_argument(
         "--seed",
         type=int,
@@ -335,7 +370,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub.add_argument(
         "--limit",
-        type=int,
+        type=_LIMIT,
         default=10_000,
         help="maximum rules to enumerate per threshold (default 10000)",
     )
@@ -390,6 +425,12 @@ def _strategy(args) -> Strategy:
     if args.strategy == "topk":
         return Strategy.topk(args.topk)
     return Strategy.mle()
+
+
+def _distance_params(args) -> DistanceParams:
+    if args.w1 == 0 and args.w2 == 0:
+        raise UsageError("--w1 and --w2 cannot both be 0")
+    return DistanceParams(w1=args.w1, w2=args.w2)
 
 
 def _cmd_parse(args) -> int:
@@ -468,8 +509,8 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_cluster(args) -> int:
+    params = _distance_params(args)
     rules, _ = _read_rules(args.rules)
-    params = DistanceParams(w1=args.w1, w2=args.w2)
     matrix = build_distance_matrix(rules, params)
     assignment = agglomerate(
         matrix, args.linkage, cut_height=args.cut_height, cut_count=args.cut_count
@@ -490,6 +531,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    params = _distance_params(args)
     rules, _ = _read_rules(args.rules)
     spec = SplitSpec(folds=args.folds, rng_seed=args.seed)
     report = loco_evaluate(
@@ -502,7 +544,7 @@ def _cmd_evaluate(args) -> int:
         with_prior=args.with_prior,
         with_clusters=args.with_clusters,
         cluster_train_only=args.cluster_train_only,
-        distance_params=DistanceParams(w1=args.w1, w2=args.w2),
+        distance_params=params,
         linkage=args.linkage,
         cut_count=args.cut_count,
         cut_height=args.cut_height,
@@ -545,8 +587,10 @@ def run(argv=None) -> int:
         config = load_config(config_path) if config_path else {}
         parser, subs = build_parser()
         for sub in subs.values():
-            dests = {action.dest for action in sub._actions}
-            sub.set_defaults(**{k: v for k, v in config.items() if k in dests})
+            for action in sub._actions:
+                if action.dest in config:  # a flag the file supplies is no longer required
+                    action.default = config[action.dest]
+                    action.required = False
         args = parser.parse_args(argv)
         return args.handler(args)
     except UsageError as exc:

@@ -26,7 +26,7 @@ from .abduction import (
     enumerate_rules,
 )
 from .bayes import SmoothedModel, fit, predict_distribution, predict_mle
-from .clustering import DistanceParams, agglomerate, build_distance_matrix, rule_distance
+from .clustering import DistanceMatrix, DistanceParams, agglomerate, build_distance_matrix
 from .encoding import (
     CLUSTER_ATTRIBUTE,
     UNK,
@@ -161,17 +161,12 @@ def value_frequencies(rules: Sequence[ParsedRule], attribute: str) -> list[tuple
 
 
 def _nearest_cluster(
-    rule: ParsedRule,
-    train_rules: Sequence[ParsedRule],
-    train_ids: Sequence[int],
-    labels: dict[int, int],
-    params: DistanceParams,
+    distances: Sequence[float], train_ids: Sequence[int], labels: dict[int, int]
 ) -> int:
-    """Assign a held-out rule to the cluster at smallest average distance."""
+    """The cluster at smallest average distance; distances follow train_ids."""
     totals: dict[int, list[float]] = {}
-    for train_rule, train_id in zip(train_rules, train_ids):
-        label = labels[train_id]
-        totals.setdefault(label, []).append(rule_distance(rule, train_rule, params))
+    for distance, train_id in zip(distances, train_ids):
+        totals.setdefault(labels[train_id], []).append(distance)
     averages = {label: sum(d) / len(d) for label, d in totals.items()}
     return min(averages, key=lambda label: (averages[label], label))
 
@@ -199,7 +194,8 @@ def loco_evaluate(
     the report); pass an ExclusionList to change that. With with_clusters the
     whole corpus is clustered once and cluster_id joins the evidence — pass
     cluster_train_only to cluster each fold's training rules only and place
-    held-out rules by nearest average distance.
+    held-out rules by nearest average distance. Either way the distance
+    matrix is built once, over the whole corpus; a fold reads its rows.
     """
     if spec is None:
         spec = SplitSpec()
@@ -209,11 +205,12 @@ def loco_evaluate(
     folds = make_folds(n, spec)
 
     full_assignment = None
-    if with_clusters and not cluster_train_only:
+    if with_clusters:
         matrix = build_distance_matrix(rules, distance_params)
-        full_assignment = agglomerate(
-            matrix, linkage, cut_height=cut_height, cut_count=cut_count
-        )
+        if not cluster_train_only:
+            full_assignment = agglomerate(
+                matrix, linkage, cut_height=cut_height, cut_count=cut_count
+            )
 
     raw_values = [rule.attribute_values() for rule in rules]
     accuracies: dict[tuple[str, str], dict[int, float]] = {}
@@ -253,18 +250,16 @@ def loco_evaluate(
         encoded_test_cluster = None
         if with_clusters:
             if cluster_train_only:
-                train_matrix = build_distance_matrix(train_rules, distance_params)
+                train_matrix = DistanceMatrix(matrix.entries[np.ix_(train_ids, train_ids)])
                 local = agglomerate(
                     train_matrix, linkage, cut_height=cut_height, cut_count=cut_count
                 )
                 labels = {
                     train_ids[local_id]: label for local_id, label in local.labels.items()
                 }
-                params = distance_params or DistanceParams()
-                for rule, rule_id in zip(test_rules, sorted_test_ids):
-                    labels[rule_id] = _nearest_cluster(
-                        rule, train_rules, train_ids, labels, params
-                    )
+                for rule_id in sorted_test_ids:
+                    distances = matrix.entries[rule_id, train_ids].tolist()
+                    labels[rule_id] = _nearest_cluster(distances, train_ids, labels)
             else:
                 labels = full_assignment.labels
             cluster_vocab, encoded_train_cluster = attach_cluster_feature(

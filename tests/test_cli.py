@@ -462,6 +462,72 @@ class TestConfigFile:
         assert run(["parse", "--config", "/nonexistent.conf", "--rules", table2_file]) == 1
 
 
+class TestFlagRanges:
+    @pytest.mark.parametrize("form", ["argv", "config"])
+    @pytest.mark.parametrize(
+        "command, values",
+        [
+            ("evaluate", "folds=1"),
+            ("train", "alpha=0"),
+            ("train", "alpha=inf"),
+            ("generate", "strategy=topk topk=0"),
+            ("generate", "limit=-1"),
+            ("generate", "threshold=nan"),
+            ("generate", "sid-base=5"),
+            ("abduce", "threshold=1.5"),
+            ("sweep", "limit=-1"),
+            ("cluster", "w1=-1"),
+            ("cluster", "w1=nan"),
+            ("cluster", "w2=inf"),
+            ("cluster", "w1=0 w2=0"),
+            ("cluster", "cut-height=nan"),
+            ("evaluate", "w1=0 w2=0"),
+        ],
+    )
+    def test_out_of_range_value_is_usage_error(
+        self, tmp_path, capsys, table2_file, trained_model, form, command, values
+    ):
+        argv = [command, "--rules", table2_file]
+        if command == "train":
+            argv += ["--out", str(tmp_path / "other.json")]
+        if command in ("abduce", "generate", "sweep"):
+            argv += ["--model", trained_model, "--seed-sid", "13162"]
+        pairs = [item.split("=") for item in values.split()]
+        if form == "argv":
+            argv += [part for key, value in pairs for part in (f"--{key}", value)]
+        else:
+            config = tmp_path / "forge.conf"
+            config.write_text("".join(f"{k} = {v}\n" for k, v in pairs), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert run(argv) == 1
+        assert "usage error" in capsys.readouterr().err
+
+
+class TestRequiredFromConfig:
+    def test_config_supplies_rules(self, tmp_path, capsys, corpus):
+        config = tmp_path / "forge.conf"
+        config.write_text(f"rules = {corpus}\n", encoding="utf-8")
+        assert run(["parse", "--config", str(config), "--lint"]) == 0
+        assert capsys.readouterr().out.strip().endswith("parsed 12 rules, 0 errors")
+
+    def test_config_supplies_model_seed_and_out(self, tmp_path, table2_file, trained_model):
+        config = tmp_path / "forge.conf"
+        out = tmp_path / "model.json"
+        config.write_text(
+            f"model = {trained_model}\nseed-sid = 13162\nout = {out}\n", encoding="utf-8"
+        )
+        assert run(["train", "--config", str(config), "--rules", table2_file]) == 0
+        assert out.exists()
+        assert run(["abduce", "--config", str(config), "--rules", table2_file]) == 0
+
+    def test_missing_from_argv_and_config(self, tmp_path, capsys):
+        config = tmp_path / "forge.conf"
+        config.write_text("lint = true\n", encoding="utf-8")
+        assert run(["parse", "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert "usage error: the following arguments are required: --rules" in err
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1

@@ -18,6 +18,8 @@ from ruleforge import (
     parse_rule,
     rule_distance,
 )
+from ruleforge import clustering
+from ruleforge.clustering import _levenshtein_row
 
 
 def random_string(rng, alphabet="abcd", max_len=12):
@@ -57,6 +59,29 @@ class TestLevenshtein:
             for b in strings:
                 for c in strings:
                     assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+
+
+class TestBitParallelKernel:
+    @pytest.mark.parametrize("alphabet", ["ab", "abcd", "aé€😀"])
+    @pytest.mark.parametrize("max_len", [8, 70, 200])
+    def test_matches_full_matrix_oracle(self, alphabet, max_len):
+        # above 64 characters the pattern masks span several machine words
+        rng = np.random.default_rng(max_len * 31 + len(alphabet))
+        strings = ["", *(random_string(rng, alphabet, max_len) for _ in range(12))]
+        for a in strings:
+            for b in strings[:6]:
+                want = oracles.levenshtein_full(a, b)
+                assert levenshtein(a, b) == want
+                assert levenshtein(b, a) == want
+
+    def test_row_reuses_one_pattern(self):
+        rng = np.random.default_rng(3)
+        pattern = random_string(rng, "abc€", 90)
+        texts = ["", pattern, *(random_string(rng, "abc€", 90) for _ in range(20))]
+        want = [oracles.levenshtein_full(pattern, text) for text in texts]
+        assert _levenshtein_row(pattern, texts) == want
+        assert _levenshtein_row("", texts) == [len(text) for text in texts]
+        assert _levenshtein_row(pattern, []) == []
 
 
 class TestRuleDistance:
@@ -122,6 +147,46 @@ class TestDistanceMatrix:
             for j in range(6):
                 want = rule_distance(rules[i], rules[j], params)
                 assert matrix.entries[i, j] == pytest.approx(want)
+
+
+WEIGHTS = [(1, 1), (1.5, 0.75), (0.1, 0.3), (0, 1)]
+
+DISJOINT_TEXTS = [
+    'alert tcp any any -> any 80 (content:"abc"; nocase; sid:1;)',
+    'alert udp 10.0.0.1 53 -> any any (pcre:"/x+y/"; dsize:>5; sid:2;)',
+    'alert icmp any any -> any any (itype:8; sid:3;)',
+]
+
+
+class TestBuildExact:
+    """Each matrix entry is bit-for-bit the pairwise rule_distance."""
+
+    @pytest.mark.parametrize("w1, w2", WEIGHTS)
+    @pytest.mark.parametrize("corpus", ["sample", "disjoint", "empty", "single"])
+    def test_entries_equal_rule_distance(self, sample_rules, corpus, w1, w2):
+        rules = {
+            "sample": sample_rules,
+            "disjoint": [parse_rule(text) for text in DISJOINT_TEXTS],
+            "empty": [],
+            "single": sample_rules[:1],
+        }[corpus]
+        params = DistanceParams(w1=w1, w2=w2)
+        matrix = build_distance_matrix(rules, params)
+        assert matrix.entries.shape == (len(rules), len(rules))
+        for i, rule_i in enumerate(rules):
+            for j, rule_j in enumerate(rules):
+                assert matrix.entries[i, j] == rule_distance(rule_i, rule_j, params)
+
+    def test_row_blocks_give_the_same_bytes(self, sample_rules, monkeypatch):
+        whole = build_distance_matrix(sample_rules).entries
+        # 12 rules in blocks of 5, 5 and 2 rows
+        monkeypatch.setattr(clustering, "_BLOCK_CELLS", 5 * len(sample_rules))
+        assert build_distance_matrix(sample_rules).entries.tobytes() == whole.tobytes()
+
+    def test_non_finite_weights_rejected(self):
+        for w1, w2 in [(math.nan, 1.0), (1.0, math.inf), (math.inf, 0.0)]:
+            with pytest.raises(ValueError):
+                DistanceParams(w1=w1, w2=w2)
 
 
 def random_matrix(rng, n):

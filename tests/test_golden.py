@@ -19,6 +19,7 @@ GOLDEN = {
     "sweep": "4f1d3a353ee0829810f128c87c15143bdc6116e56437b97640672712ec837b0b",
     "cluster": "58ec0b3bacc4d88a44879a2caa020f9830222fb7f55aecfcbdb36c86ceb3643e",
     "evaluate": "389f0e088e3b9bfa6af4edd7487bb83e2a2f8ad536b8c3b0113c21e7473405fd",
+    "evaluate_train_only": "1c26fb8af39c984d9c1c033eb6d2b246567f4a6ba0069b7b9b2491f636d284e0",
 }
 
 
@@ -37,6 +38,9 @@ def _command(name: str, rules: str, model: str) -> list[str]:
         "sweep": ["sweep", *seeded],
         "cluster": ["cluster", "--rules", rules],
         "evaluate": ["evaluate", "--rules", rules, "--folds", "3", "--with-clusters"],
+        "evaluate_train_only": [
+            "evaluate", "--rules", rules, "--folds", "3", "--with-clusters", "--cluster-train-only",
+        ],
     }[name]
 
 
