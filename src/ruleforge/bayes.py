@@ -11,18 +11,24 @@ the number of training samples. The T in the denominator is deliberate (it is
 the published estimator); pass smoothing="conventional" to use the target
 vocabulary size instead, which makes each conditional a proper distribution.
 Scoring runs in log space so long evidence chains cannot underflow.
+
+One kernel, posterior_log_scores, scores an (m x A) matrix of value codes for
+one target: per evidence attribute it gathers the pair-table rows of all m
+records at once. predict_distribution is its one-row call, and
+predict_mle_rows takes the most likely value of every row.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .encoding import AttributeVocabulary, EncodedRule, UnknownAttribute
+from .encoding import AttributeVocabulary, EncodedRule, UnknownAttribute, code_matrix
 from .errors import RuleforgeError
 
 MODEL_FORMAT = "ruleforge-model"
@@ -135,11 +141,11 @@ class SmoothedModel:
 
     @classmethod
     def load(cls, path: str) -> "SmoothedModel":
-        """Read a model file; a malformed one raises RuleforgeError."""
+        """Read a model file; a malformed or inconsistent one raises RuleforgeError."""
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return cls._from_payload(json.load(handle), path)
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise RuleforgeError(
                 f"{path}: malformed model file ({type(exc).__name__}: {exc})"
             ) from None
@@ -148,6 +154,15 @@ class SmoothedModel:
     def _from_payload(cls, payload: dict, path: str) -> "SmoothedModel":
         if payload.get("format") != MODEL_FORMAT:
             raise RuleforgeError(f"{path}: not a model file")
+        alpha = float(payload["alpha"])
+        if not (math.isfinite(alpha) and alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
+        smoothing = payload["smoothing"]
+        if smoothing not in SMOOTHING_MODES:
+            raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
+        num_samples = int(payload["num_samples"])
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         vocab = AttributeVocabulary(
             attributes=tuple(sorted(payload["vocabulary"])),
             values={a: tuple(v) for a, v in payload["vocabulary"].items()},
@@ -159,28 +174,35 @@ class SmoothedModel:
             counts = np.asarray(payload["marginals"][a], dtype=np.int64)
             if counts.shape != (vocab.size(a),) or (counts < 0).any():
                 raise ValueError(f"bad marginal counts for {a!r}")
+            if sum(counts.tolist()) != num_samples:
+                raise ValueError(f"marginal counts for {a!r} do not sum to num_samples")
             marginals[a] = counts
         pair_counts: dict[tuple[str, str], np.ndarray] = {}
         for a, row in payload["pairs"].items():
             for b, triplets in row.items():
-                pair_counts[(a, b)] = _pair_table(triplets, vocab.size(a), vocab.size(b))
+                pair_counts[(a, b)] = _pair_table(triplets, marginals[a], marginals[b])
         counts = CountTable(
             marginal_counts=marginals,
             pair_counts=pair_counts,
-            num_samples=int(payload["num_samples"]),
+            num_samples=num_samples,
         )
         return cls(
             counts=counts,
-            alpha=float(payload["alpha"]),
+            alpha=alpha,
             vocab=vocab,
-            smoothing=payload["smoothing"],
+            smoothing=smoothing,
             skip_unk_evidence=bool(payload["skip_unk_evidence"]),
             with_prior=bool(payload["with_prior"]),
         )
 
 
-def _pair_table(triplets, size_a: int, size_b: int) -> np.ndarray:
-    """Dense (size_a x size_b) counts from [row, col, count] triplets."""
+def _pair_table(triplets, marginal_a: np.ndarray, marginal_b: np.ndarray) -> np.ndarray:
+    """Dense (|V_a| x |V_b|) counts from [row, col, count] triplets.
+
+    Cells are summed, so a repeated cell counts twice. The row sums must be
+    marginal_a and the column sums marginal_b; both are taken from the cells,
+    which are far fewer than the dense table's.
+    """
     if not set(map(len, triplets)) <= {3}:
         raise ValueError("pair cells must be [row, col, count] triplets")
     # fromiter over the flattened cells is about 2.5x faster than np.asarray on
@@ -188,13 +210,20 @@ def _pair_table(triplets, size_a: int, size_b: int) -> np.ndarray:
     flat = itertools.chain.from_iterable(triplets)
     cells = np.fromiter(flat, dtype=np.int64, count=3 * len(triplets))
     rows, cols, counts = cells.reshape(-1, 3).T
+    size_a, size_b = len(marginal_a), len(marginal_b)
     if (
         (rows < 0) | (rows >= size_a) | (cols < 0) | (cols >= size_b) | (counts < 0)
     ).any():
         raise ValueError("pair cell index or count out of range")
-    table = np.zeros((size_a, size_b), dtype=np.int64)
-    table[rows, cols] = counts
-    return table
+    row_sums = np.zeros(size_a, dtype=np.int64)
+    np.add.at(row_sums, rows, counts)
+    col_sums = np.zeros(size_b, dtype=np.int64)
+    np.add.at(col_sums, cols, counts)
+    if not (np.array_equal(row_sums, marginal_a) and np.array_equal(col_sums, marginal_b)):
+        raise ValueError("pair counts do not sum to the marginals")
+    table = np.zeros(size_a * size_b, dtype=np.int64)
+    np.add.at(table, rows * size_b + cols, counts)
+    return table.reshape(size_a, size_b)
 
 
 def fit(
@@ -214,9 +243,7 @@ def fit(
     if smoothing not in SMOOTHING_MODES:
         raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
     attrs = vocab.attributes
-    columns = {
-        a: np.asarray([rec.values[a] for rec in dataset], dtype=np.int64) for a in attrs
-    }
+    columns = dict(zip(attrs, np.ascontiguousarray(code_matrix(dataset, vocab).T)))
     marginals = {a: np.bincount(columns[a], minlength=vocab.size(a)) for a in attrs}
     pair_counts: dict[tuple[str, str], np.ndarray] = {}
     for i, a in enumerate(attrs):
@@ -265,6 +292,49 @@ def conditional_probability(
     return (joint + model.alpha) / (marginal + model.alpha * mass)
 
 
+def posterior_log_scores(model: SmoothedModel, codes: np.ndarray, target: str) -> np.ndarray:
+    """(m x |V_target|) log unnormalized posterior scores, one row per row of codes.
+
+    codes is an (m x A) int array with columns in vocab.attributes order (see
+    encoding.code_matrix). Every other attribute adds one log conditional per
+    row, in vocabulary order (a row's UNK evidence is skipped when the model
+    was fitted with skip_unk_evidence), then the prior term when it is on.
+    The operations per element are those of a one-row call, so a row's
+    scores do not depend on which rows share the call.
+    """
+    vocab = model.vocab
+    values = vocab.values.get(target)
+    if values is None:
+        raise UnknownAttribute(f"attribute {target!r} not in vocabulary")
+    log_scores = np.zeros((len(codes), len(values)), dtype=np.float64)
+    mass = _denominator_mass(model, target)
+    for k, attr in enumerate(vocab.attributes):
+        if attr == target:
+            continue
+        column = codes[:, k]
+        numerators = model.counts.pair(attr, target)[column].astype(np.float64) + model.alpha
+        denominators = (
+            model.counts.marginal(attr)[column].astype(np.float64) + model.alpha * mass
+        )
+        terms = np.log(numerators) - np.log(denominators)[:, None]
+        if model.skip_unk_evidence:
+            np.add(log_scores, terms, out=log_scores, where=(column != 0)[:, None])
+        else:
+            log_scores += terms
+    if model.with_prior:
+        marginal_j = model.counts.marginal(target).astype(np.float64)
+        log_scores += np.log(marginal_j + model.alpha) - np.log(
+            model.counts.num_samples + model.alpha * len(values)
+        )
+    return log_scores
+
+
+def _normalize(log_scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax of log scores."""
+    shifted = np.exp(log_scores - log_scores.max(axis=-1, keepdims=True))
+    return shifted / shifted.sum(axis=-1, keepdims=True)
+
+
 def predict_distribution(
     model: SmoothedModel, observation: EncodedRule, target: str
 ) -> PosteriorDistribution:
@@ -272,42 +342,44 @@ def predict_distribution(
 
     Every other vocabulary attribute contributes one conditional factor
     (UNK-valued evidence included unless the model was fitted with
-    skip_unk_evidence). Computed in log space.
+    skip_unk_evidence). Computed in log space by posterior_log_scores.
     """
-    vocab = model.vocab
-    values = vocab.values.get(target)
-    if values is None:
-        raise UnknownAttribute(f"attribute {target!r} not in vocabulary")
-    log_scores = np.zeros(len(values), dtype=np.float64)
-    mass = _denominator_mass(model, target)
-    for attr in vocab.attributes:
-        if attr == target:
-            continue
-        vi = observation.values.get(attr, 0)
-        if model.skip_unk_evidence and vi == 0:
-            continue
-        pair = model.counts.pair(attr, target)
-        numerators = pair[vi, :].astype(np.float64) + model.alpha
-        denominator = float(model.counts.marginal(attr)[vi]) + model.alpha * mass
-        log_scores += np.log(numerators) - np.log(denominator)
-    if model.with_prior:
-        marginal_j = model.counts.marginal(target).astype(np.float64)
-        log_scores += np.log(marginal_j + model.alpha) - np.log(
-            model.counts.num_samples + model.alpha * len(values)
-        )
-    shifted = np.exp(log_scores - log_scores.max())
-    normalized = shifted / shifted.sum()
+    log_scores = posterior_log_scores(model, code_matrix([observation], model.vocab), target)
     return PosteriorDistribution(
         attribute=target,
-        values=values,
-        log_scores=log_scores,
-        normalized=normalized,
+        values=model.vocab.values[target],
+        log_scores=log_scores[0],
+        normalized=_normalize(log_scores)[0],
     )
 
 
 def predict_mle(distribution: PosteriorDistribution) -> str:
     """Most likely value; ties broken by the lexicographically smallest."""
     return distribution.ranked()[0][0]
+
+
+# Cells scored per block in predict_mle_rows, so each float64 temporary stays
+# near 128 KiB however many rows a call scores.
+_BLOCK_CELLS = 1 << 14
+
+
+def predict_mle_rows(model: SmoothedModel, codes: np.ndarray, target: str) -> list[str]:
+    """predict_mle(predict_distribution(...)) for every row of codes.
+
+    Ties among the most likely values go to the smallest value string: the
+    columns are read in string order, where UNK (index 0) has its own place,
+    and argmax takes the first maximum.
+    """
+    values = model.vocab.values.get(target)
+    if values is None:
+        raise UnknownAttribute(f"attribute {target!r} not in vocabulary")
+    by_string = np.array(sorted(range(len(values)), key=values.__getitem__), dtype=np.intp)
+    step = max(1, _BLOCK_CELLS // len(values))
+    picks: list[int] = []
+    for start in range(0, len(codes), step):
+        normalized = _normalize(posterior_log_scores(model, codes[start : start + step], target))
+        picks.extend(by_string[normalized[:, by_string].argmax(axis=1)].tolist())
+    return [values[i] for i in picks]
 
 
 def predict_topk(distribution: PosteriorDistribution, k: int) -> list[str]:

@@ -9,6 +9,7 @@ value, so encoding is total and every record has one value per attribute.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
@@ -185,6 +186,19 @@ def encode_rule(
         rule_id=rule_id,
         values={attr: vocab.index_of(attr, present.get(attr)) for attr in vocab.attributes},
     )
+
+
+def code_matrix(records: Sequence[EncodedRule], vocab: AttributeVocabulary) -> np.ndarray:
+    """(n x A) int64 value codes, columns in vocab.attributes order.
+
+    The one place per-rule dicts become arrays: fit counts its columns and
+    the posterior kernel scores its rows. A missing attribute reads UNK (0).
+    """
+    attrs = vocab.attributes
+    unk = [0] * len(attrs)
+    flat = itertools.chain.from_iterable(map(r.values.get, attrs, unk) for r in records)
+    codes = np.fromiter(flat, dtype=np.int64, count=len(records) * len(attrs))
+    return codes.reshape(len(records), len(attrs))
 
 
 def encode_corpus(

@@ -6,6 +6,10 @@ and every attribute, hide that attribute, predict it from the rest, and score
 an exact string match against the true value (UNK counts as a value: an
 absent attribute is correctly predicted by UNK). Baselines: the training
 majority value, and a uniform draw over the attribute's vocabulary.
+
+Each fold's test rules become one code matrix, so the model predicts a
+hidden attribute for all of them in one bayes.predict_mle_rows call per
+(fold, target).
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from .abduction import (
     build_candidate_graph,
     enumerate_rules,
 )
-from .bayes import SmoothedModel, fit, predict_distribution, predict_mle
+# predict_distribution is not called here; perfbench/tracing.py wraps it under this module's name
+from .bayes import SmoothedModel, fit, predict_distribution, predict_mle_rows
 from .clustering import DistanceMatrix, DistanceParams, agglomerate, build_distance_matrix
 from .encoding import (
     CLUSTER_ATTRIBUTE,
@@ -33,6 +38,7 @@ from .encoding import (
     ExclusionList,
     attach_cluster_feature,
     build_vocabulary,
+    code_matrix,
     encode_rule,
 )
 from .errors import RuleforgeError
@@ -246,8 +252,9 @@ def loco_evaluate(
             with_prior=with_prior,
         )
 
+        test_codes = code_matrix(encoded_test, vocab)
         cluster_model = None
-        encoded_test_cluster = None
+        cluster_test_codes = None
         if with_clusters:
             if cluster_train_only:
                 train_matrix = DistanceMatrix(matrix.entries[np.ix_(train_ids, train_ids)])
@@ -268,6 +275,7 @@ def loco_evaluate(
             _, encoded_test_cluster = attach_cluster_feature(
                 encoded_test, labels, vocab, augmented_vocab=cluster_vocab
             )
+            cluster_test_codes = code_matrix(encoded_test_cluster, cluster_vocab)
             cluster_model = fit(
                 encoded_train_cluster,
                 cluster_vocab,
@@ -281,18 +289,12 @@ def loco_evaluate(
             true_values = [raw_values[i].get(attribute, UNK) for i in sorted_test_ids]
             train_values = [raw_values[i].get(attribute, UNK) for i in train_ids]
 
-            predictions = [
-                predict_mle(predict_distribution(model, record_, attribute))
-                for record_ in encoded_test
-            ]
+            predictions = predict_mle_rows(model, test_codes, attribute)
             hits = sum(1 for p, t in zip(predictions, true_values) if p == t)
             record(attribute, CLASSIFIER_BAYES, fold_index, hits / len(true_values))
 
             if with_clusters:
-                predictions = [
-                    predict_mle(predict_distribution(cluster_model, record_, attribute))
-                    for record_ in encoded_test_cluster
-                ]
+                predictions = predict_mle_rows(cluster_model, cluster_test_codes, attribute)
                 hits = sum(1 for p, t in zip(predictions, true_values) if p == t)
                 record(
                     attribute, CLASSIFIER_BAYES_CLUSTER, fold_index, hits / len(true_values)

@@ -2,10 +2,14 @@
 
 Everything here is deliberately naive: plain dicts, quadratic loops, full DP
 matrices, and brute-force cluster merging. None of it shares code with the
-package beyond the UNK sentinel string, so agreement is meaningful.
+package beyond the UNK sentinel string, so agreement is meaningful. The one
+exception, posterior_loop, reads a fitted model's counts to score them the
+way the package once did, one record at a time.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 UNK = "UNK"
 
@@ -96,6 +100,43 @@ def posterior(
 
 def posterior_argmax(distribution: dict[str, float]) -> str:
     return min(distribution, key=lambda value: (-distribution[value], value))
+
+
+# ---------------------------------------------------------------------------
+# per-record posterior over a fitted model, the bit-exact reference
+
+
+def posterior_loop(model, observation: dict[str, int], target: str):
+    """(log_scores, normalized) for one record of value codes.
+
+    The per-record loop that predict_distribution ran before scoring moved to
+    a batched kernel, kept operation for operation, so the kernel's rows must
+    equal it bit for bit.
+    """
+    vocab = model.vocab
+    values = vocab.values[target]
+    log_scores = np.zeros(len(values), dtype=np.float64)
+    if model.smoothing == "corpus":
+        mass = model.counts.num_samples
+    else:
+        mass = len(values)
+    for attr in vocab.attributes:
+        if attr == target:
+            continue
+        vi = observation.get(attr, 0)
+        if model.skip_unk_evidence and vi == 0:
+            continue
+        pair = model.counts.pair(attr, target)
+        numerators = pair[vi, :].astype(np.float64) + model.alpha
+        denominator = float(model.counts.marginal(attr)[vi]) + model.alpha * mass
+        log_scores += np.log(numerators) - np.log(denominator)
+    if model.with_prior:
+        marginal_j = model.counts.marginal(target).astype(np.float64)
+        log_scores += np.log(marginal_j + model.alpha) - np.log(
+            model.counts.num_samples + model.alpha * len(values)
+        )
+    shifted = np.exp(log_scores - log_scores.max())
+    return log_scores, shifted / shifted.sum()
 
 
 # ---------------------------------------------------------------------------

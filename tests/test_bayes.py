@@ -11,6 +11,7 @@ from ruleforge import (
     RuleforgeError,
     SmoothedModel,
     UnknownAttribute,
+    bayes,
     conditional_probability,
     fit,
     predict_above_threshold,
@@ -18,6 +19,8 @@ from ruleforge import (
     predict_mle,
     predict_topk,
 )
+from ruleforge.bayes import posterior_log_scores, predict_mle_rows
+from ruleforge.encoding import EncodedRule, code_matrix
 
 
 def fit_dicts(corpus, alpha=1.0, **kwargs):
@@ -194,6 +197,102 @@ class TestPredictDistribution:
                 assert np.array_equal(pair.sum(axis=1), model.counts.marginal(a))
                 assert np.array_equal(pair.sum(axis=0), model.counts.marginal(b))
                 assert np.array_equal(model.counts.pair(b, a), pair.T)
+
+
+# default, skip_unk_evidence, with_prior + conventional, alpha 0.37
+MODEL_CONFIGS = [
+    (1.0, {}),
+    (1.0, {"skip_unk_evidence": True}),
+    (1.0, {"with_prior": True, "smoothing": "conventional"}),
+    (0.37, {}),
+]
+
+# "$HOME_NET" and "80" sort before "UNK", "any" and "smb" after it
+VALUE_POOL = ["$HOME_NET", "80", "445", "any", "smb", "x", "UNKNOWN"]
+
+
+def random_corpus(rng):
+    attrs = [f"k{j}" for j in range(int(rng.integers(2, 6)))]
+    pools = {
+        a: list(rng.choice(VALUE_POOL, size=int(rng.integers(1, 5)), replace=False))
+        for a in attrs
+    }
+    corpus = []
+    for _ in range(int(rng.integers(1, 25))):
+        row = {a: str(rng.choice(pools[a])) for a in attrs if rng.random() < 0.7}
+        corpus.append(row or {attrs[0]: pools[attrs[0]][0]})
+    return corpus
+
+
+def random_codes(rng, vocab, rows):
+    return np.stack(
+        [rng.integers(0, vocab.size(a), size=rows) for a in vocab.attributes], axis=1
+    )
+
+
+class TestBatchedPosterior:
+    @pytest.mark.parametrize("alpha, kwargs", MODEL_CONFIGS)
+    def test_rows_match_the_per_record_loop(self, alpha, kwargs):
+        rng = np.random.default_rng(20)
+        for _ in range(25):
+            corpus = random_corpus(rng)
+            model, vocab = fit_dicts(corpus, alpha=alpha, **kwargs)
+            codes = np.concatenate(
+                [code_matrix(encode_dicts(corpus, vocab), vocab), random_codes(rng, vocab, 12)]
+            )
+            records = [
+                EncodedRule(i, dict(zip(vocab.attributes, row)))
+                for i, row in enumerate(codes.tolist())
+            ]
+            for target in vocab.attributes:
+                batched = posterior_log_scores(model, codes, target)
+                assert batched.shape == (len(codes), vocab.size(target))
+                for record, row in zip(records, batched):
+                    want_scores, want_normalized = oracles.posterior_loop(
+                        model, record.values, target
+                    )
+                    assert row.tobytes() == want_scores.tobytes()
+                    got = predict_distribution(model, record, target)
+                    assert got.log_scores.tobytes() == want_scores.tobytes()
+                    assert got.normalized.tobytes() == want_normalized.tobytes()
+                assert predict_mle_rows(model, codes, target) == [
+                    predict_mle(predict_distribution(model, r, target)) for r in records
+                ]
+
+    @pytest.mark.parametrize(
+        "value, winner", [("$HOME_NET", "$HOME_NET"), ("80", "80"), ("smb", UNK)]
+    )
+    def test_tie_with_unk_goes_to_the_smaller_string(self, value, winner):
+        # "a" is UNK in one rule and `value` in the other, both with b = v
+        corpus = [{"a": value, "b": "v"}, {"b": "v"}, {"a": "zz", "b": "w"}]
+        model, vocab = fit_dicts(corpus)
+        observation = observation_record({"b": "v"}, vocab)
+        codes = code_matrix([observation], vocab)
+        distribution = predict_distribution(model, observation, "a")
+        assert distribution.probability(value) == distribution.probability(UNK)
+        assert predict_mle(distribution) == winner
+        assert predict_mle_rows(model, codes, "a") == [winner]
+
+    def test_one_row_blocks_give_the_same_predictions(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        corpus = [{"a": "$HOME_NET", "b": "v"}, {"b": "v"}, {"a": "zz", "b": "w"}]
+        corpus += random_corpus(rng)
+        model, vocab = fit_dicts(corpus)
+        codes = np.concatenate(
+            [code_matrix(encode_dicts(corpus, vocab), vocab), random_codes(rng, vocab, 30)]
+        )
+        whole = {target: predict_mle_rows(model, codes, target) for target in vocab.attributes}
+        monkeypatch.setattr(bayes, "_BLOCK_CELLS", 1)
+        for target in vocab.attributes:
+            assert predict_mle_rows(model, codes, target) == whole[target]
+
+    def test_unknown_target_raises(self, ten_rule_corpus):
+        model, vocab = fit_dicts(ten_rule_corpus)
+        codes = code_matrix(encode_dicts(ten_rule_corpus, vocab), vocab)
+        with pytest.raises(UnknownAttribute):
+            posterior_log_scores(model, codes, "nope")
+        with pytest.raises(UnknownAttribute):
+            predict_mle_rows(model, codes, "nope")
 
 
 class TestSelectors:

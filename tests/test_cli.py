@@ -260,18 +260,62 @@ class TestGenerate:
         first = capsys.readouterr().out.splitlines()[0]
         assert parse_rule(first).sid == 900001
 
-    @pytest.mark.parametrize("defect", ["truncated", "no_num_samples", "row_1e6", "row_negative"])
+    @pytest.mark.parametrize(
+        "defect",
+        [
+            "truncated",
+            "no_num_samples",
+            "row_1e6",
+            "row_negative",
+            "num_samples_negative",
+            "num_samples_zero",
+            "alpha_negative",
+            "alpha_infinite",
+            "smoothing_bogus",
+            "marginal_sum",
+            "marginal_1e30",
+            "count_1e30",
+            "row_sums",
+            "column_sums",
+        ],
+    )
     def test_malformed_model_exits_2(self, tmp_path, table2_file, trained_model, defect):
         text = (tmp_path / "model.json").read_text(encoding="utf-8")
         if defect == "truncated":
             text = text[: len(text) // 2]
         else:
             payload = json.loads(text)
+            a, b, cells = next(
+                (a, b, c) for a, row in payload["pairs"].items() for b, c in row.items() if c
+            )
             if defect == "no_num_samples":
                 del payload["num_samples"]
-            else:
-                cells = next(c for row in payload["pairs"].values() for c in row.values() if c)
+            elif defect in ("row_1e6", "row_negative"):
                 cells[0][0] = 10**6 if defect == "row_1e6" else -1
+            elif defect == "num_samples_negative":
+                payload["num_samples"] = -50
+            elif defect == "num_samples_zero":  # every count zero, so the sums agree
+                payload["num_samples"] = 0
+                for counts in payload["marginals"].values():
+                    counts[:] = [0] * len(counts)
+                for row in payload["pairs"].values():
+                    row.update(dict.fromkeys(row, []))
+            elif defect == "alpha_negative":
+                payload["alpha"] = -1.0
+            elif defect == "alpha_infinite":
+                payload["alpha"] = float("inf")  # json.dumps writes Infinity
+            elif defect == "smoothing_bogus":
+                payload["smoothing"] = "bogus"
+            elif defect == "marginal_sum":  # the pair tables still agree with the marginals
+                payload["num_samples"] += 1
+            elif defect == "marginal_1e30":
+                payload["marginals"][a][0] = 10**30
+            elif defect == "count_1e30":
+                cells[0][2] = 10**30
+            elif defect == "row_sums":  # the column sums still hold
+                cells[0][0] = (cells[0][0] + 1) % len(payload["vocabulary"][a])
+            else:  # the row sums still hold
+                cells[0][1] = (cells[0][1] + 1) % len(payload["vocabulary"][b])
             text = json.dumps(payload)
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

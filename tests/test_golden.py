@@ -20,6 +20,8 @@ GOLDEN = {
     "cluster": "58ec0b3bacc4d88a44879a2caa020f9830222fb7f55aecfcbdb36c86ceb3643e",
     "evaluate": "389f0e088e3b9bfa6af4edd7487bb83e2a2f8ad536b8c3b0113c21e7473405fd",
     "evaluate_train_only": "1c26fb8af39c984d9c1c033eb6d2b246567f4a6ba0069b7b9b2491f636d284e0",
+    "evaluate_plain": "61b8901e1c4aa172f0e25f22b5997d053cb72d46b56dda4893df7cfc8e77023c",
+    "evaluate_flags": "c89fe7c4e88ccb819a307d97afc93e376bcf3764c606d84efe465f710b0d33ce",
 }
 
 
@@ -40,6 +42,11 @@ def _command(name: str, rules: str, model: str) -> list[str]:
         "evaluate": ["evaluate", "--rules", rules, "--folds", "3", "--with-clusters"],
         "evaluate_train_only": [
             "evaluate", "--rules", rules, "--folds", "3", "--with-clusters", "--cluster-train-only",
+        ],
+        "evaluate_plain": ["evaluate", "--rules", rules, "--folds", "3"],
+        "evaluate_flags": [
+            "evaluate", "--rules", rules, "--folds", "3", "--skip-unk-evidence", "--with-prior",
+            "--smoothing", "conventional", "--alpha", "0.5",
         ],
     }[name]
 
