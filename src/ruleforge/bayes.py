@@ -16,6 +16,12 @@ One kernel, posterior_log_scores, scores an (m x A) matrix of value codes for
 one target: per evidence attribute it gathers the pair-table rows of all m
 records at once. predict_distribution is its one-row call, and
 predict_mle_rows takes the most likely value of every row.
+
+A model file is the JSON text json.dumps(payload, sort_keys=True, indent=1)
+gives. SmoothedModel.to_json writes those bytes itself, because an indent
+makes CPython's json fall back to its pure-Python encoder, which visits every
+count of every pair cell one by one. The format is unchanged: files written
+before and after are byte-identical, and load reads them with json.load.
 """
 
 from __future__ import annotations
@@ -24,11 +30,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .encoding import AttributeVocabulary, EncodedRule, UnknownAttribute, code_matrix
+from .encoding import UNK, AttributeVocabulary, EncodedRule, UnknownAttribute, code_matrix
 from .errors import RuleforgeError
 
 MODEL_FORMAT = "ruleforge-model"
@@ -114,14 +121,18 @@ class SmoothedModel:
             handle.write(self.to_json())
 
     def to_json(self) -> str:
-        pairs: dict[str, dict[str, list[list[int]]]] = {}
+        """The model file's text: sorted keys, one-space indent, one value a line.
+
+        The bytes json.dumps(payload, sort_keys=True, indent=1) would give:
+        strings escaped by json's own encode_basestring_ascii, scalars by
+        json.dumps, each integer list one str.join and each pair table's
+        nonzero [row, col, count] cells one more.
+        """
+        attrs = self.vocab.attributes
+        pairs: dict[str, dict[str, np.ndarray]] = {}
         for (a, b), table in self.counts.pair_counts.items():
-            rows, cols = np.nonzero(table)
-            triplets = [
-                [int(r), int(c), int(table[r, c])] for r, c in zip(rows, cols)
-            ]
-            pairs.setdefault(a, {})[b] = triplets
-        payload = {
+            pairs.setdefault(a, {})[b] = table
+        scalars = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "alpha": self.alpha,
@@ -130,14 +141,23 @@ class SmoothedModel:
             "with_prior": self.with_prior,
             "num_samples": self.counts.num_samples,
             "vocab_sha256": self.vocab.sha256(),
-            "vocabulary": {a: list(self.vocab.values[a]) for a in self.vocab.attributes},
-            "marginals": {
-                a: [int(c) for c in self.counts.marginal_counts[a]]
-                for a in self.vocab.attributes
-            },
-            "pairs": pairs,
         }
-        return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        fields = {key: json.dumps(value) for key, value in scalars.items()}
+        values, marginals = self.vocab.values, self.counts.marginal_counts
+        fields["vocabulary"] = _json_object(
+            {a: _json_block(map(encode_basestring_ascii, values[a]), 3, "[]") for a in attrs}, 2
+        )
+        fields["marginals"] = _json_object(
+            {a: _json_block(map(str, marginals[a].tolist()), 3, "[]") for a in attrs}, 2
+        )
+        fields["pairs"] = _json_object(
+            {
+                a: _json_object({b: _json_cells(table, 4) for b, table in row.items()}, 3)
+                for a, row in pairs.items()
+            },
+            2,
+        )
+        return _json_object(fields, 1) + "\n"
 
     @classmethod
     def load(cls, path: str) -> "SmoothedModel":
@@ -154,6 +174,9 @@ class SmoothedModel:
     def _from_payload(cls, payload: dict, path: str) -> "SmoothedModel":
         if payload.get("format") != MODEL_FORMAT:
             raise RuleforgeError(f"{path}: not a model file")
+        version = payload["version"]
+        if type(version) is not int or version != MODEL_VERSION:
+            raise RuleforgeError(f"{path}: unsupported model version {version!r}")
         alpha = float(payload["alpha"])
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {alpha}")
@@ -169,6 +192,9 @@ class SmoothedModel:
         )
         if vocab.sha256() != payload["vocab_sha256"]:
             raise RuleforgeError(f"{path}: vocabulary hash mismatch")
+        for a, values in vocab.values.items():
+            if not _is_value_list(values):
+                raise ValueError(f"values of {a!r} are not UNK then strictly increasing strings")
         marginals = {}
         for a in vocab.attributes:
             counts = np.asarray(payload["marginals"][a], dtype=np.int64)
@@ -194,6 +220,41 @@ class SmoothedModel:
             skip_unk_evidence=bool(payload["skip_unk_evidence"]),
             with_prior=bool(payload["with_prior"]),
         )
+
+
+def _is_value_list(values: tuple) -> bool:
+    """UNK, then strictly increasing strings other than UNK, as build_vocabulary makes them."""
+    rest = values[1:]
+    return (
+        values[:1] == (UNK,)
+        and all(isinstance(v, str) for v in rest)
+        and UNK not in rest
+        and all(x < y for x, y in zip(rest, rest[1:]))
+    )
+
+
+def _json_block(items: Iterable[str], depth: int, brackets: str) -> str:
+    """Rendered items, one a line `depth` spaces in, as json.dumps(indent=1) lays them out."""
+    pad = "\n" + " " * depth
+    body = ("," + pad).join(items)
+    if not body:
+        return brackets
+    return f"{brackets[0]}{pad}{body}\n{' ' * (depth - 1)}{brackets[1]}"
+
+
+def _json_object(members: dict[str, str], depth: int) -> str:
+    """An object of rendered member values, keys sorted."""
+    keyed = (f"{encode_basestring_ascii(key)}: {members[key]}" for key in sorted(members))
+    return _json_block(keyed, depth, "{}")
+
+
+def _json_cells(table: np.ndarray, depth: int) -> str:
+    """The table's nonzero cells as [row, col, count] arrays, row-major."""
+    rows, cols = np.nonzero(table)
+    inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
+    cell = f"[{inner}{{}},{inner}{{}},{inner}{{}}{outer}]"
+    counts = table[rows, cols]
+    return _json_block(map(cell.format, rows.tolist(), cols.tolist(), counts.tolist()), depth, "[]")
 
 
 def _pair_table(triplets, marginal_a: np.ndarray, marginal_b: np.ndarray) -> np.ndarray:

@@ -10,6 +10,11 @@ round trip lossless: ``parse_rule(serialize_rule(parse_rule(text)))`` equals
 Identity metadata (``sid``, ``rev``, ``msg``, ``reference``) is split off from
 the remaining options so downstream code can treat what is left as the rule's
 antecedents.
+
+The body is split into options by one compiled regex, matched once per option,
+rather than by a Python loop over its characters. It finds the same segments
+and offsets, and raises at the same offset, so the rule syntax accepted and
+the rules produced are unchanged.
 """
 
 from __future__ import annotations
@@ -32,6 +37,17 @@ HEADER_ATTRIBUTES = ("protocol", "source_ip", "source_port", "target_ip", "targe
 DIRECTIONS = ("->", "<>")
 
 _CONTINUATION = re.compile(r"\\[ \t]*\r?\n[ \t]*")
+
+# One option segment, matched from its first character up to the ';' that
+# ends it, or the end of the body, or a quote that is never closed. It is a run
+# of plain characters, backslash escapes (a backslash takes the next character
+# whatever it is, and may end the body) and closed quoted runs (inside which
+# ';' is plain and a backslash still escapes). The unrolled form
+# (plain* (special plain*)*) gives each character one way to match, so an
+# unclosed quote costs one linear scan, not a backtracking blow-up.
+_SEGMENT = re.compile(
+    r"""[^\\";]*(?:(?:\\[\s\S]?|"[^\\"]*(?:\\[\s\S][^\\"]*)*")[^\\";]*)*"""
+)
 
 
 class MalformedHeader(RuleforgeError):
@@ -154,40 +170,22 @@ def _split_options(body: str, base_offset: int) -> list[tuple[str, int]]:
     """Split a rule body into option segments on unquoted, unescaped ';'.
 
     Returns (segment text, byte offset of segment start). A final segment
-    without a trailing semicolon is accepted.
+    without a trailing semicolon is accepted. An unclosed quote raises
+    UnterminatedOption at the offset of that quote.
     """
     segments: list[tuple[str, int]] = []
-    current: list[str] = []
-    seg_start = 0
-    in_quotes = False
-    escaped = False
-    quote_open = 0
-    for i, ch in enumerate(body):
-        if escaped:
-            current.append(ch)
-            escaped = False
-            continue
-        if ch == "\\":
-            current.append(ch)
-            escaped = True
-            continue
-        if ch == '"':
-            in_quotes = not in_quotes
-            if in_quotes:
-                quote_open = i
-            current.append(ch)
-            continue
-        if ch == ";" and not in_quotes:
-            segments.append(("".join(current), base_offset + seg_start))
-            current = []
-            seg_start = i + 1
-            continue
-        current.append(ch)
-    if in_quotes:
-        raise UnterminatedOption("unterminated quoted value", offset=base_offset + quote_open)
-    tail = "".join(current)
+    start = 0
+    while True:
+        end = _SEGMENT.match(body, start).end()
+        if end == len(body):
+            break
+        if body[end] == '"':  # a quote that no unescaped quote closes
+            raise UnterminatedOption("unterminated quoted value", offset=base_offset + end)
+        segments.append((body[start:end], base_offset + start))
+        start = end + 1
+    tail = body[start:]
     if tail.strip():
-        segments.append((tail, base_offset + seg_start))
+        segments.append((tail, base_offset + start))
     return segments
 
 
@@ -297,20 +295,33 @@ def serialize_rule(rule: ParsedRule, *, require_sid: bool = False) -> str:
             rule.header.dst_port,
         )
     )
-    body: list[str] = []
-    for opt in sorted(rule.options, key=lambda o: o.ordinal):
-        body.append(f"{opt.key}:{opt.value};" if opt.value else f"{opt.key};")
+    segments = [
+        f"{opt.key}:{opt.value}" if opt.value else opt.key
+        for opt in sorted(rule.options, key=lambda o: o.ordinal)
+    ]
     if rule.msg is not None:
-        body.append(f'msg:"{rule.msg}";')
+        # Quotes around a msg that ends in an unpaired backslash would leave
+        # the closing quote escaped; such a msg was unquoted in its rule.
+        segments.append(f"msg:{rule.msg}" if _escapes_next(rule.msg) else f'msg:"{rule.msg}"')
     for ref in rule.references:
-        body.append(f"reference:{ref};")
+        segments.append(f"reference:{ref}")
     if rule.sid is not None:
-        body.append(f"sid:{rule.sid};")
+        segments.append(f"sid:{rule.sid}")
     if rule.rev is not None:
-        body.append(f"rev:{rule.rev};")
-    if not body:
+        segments.append(f"rev:{rule.rev}")
+    if not segments:
         return head
-    return f"{head} ({' '.join(body)})"
+    body = "; ".join(segments) + ";"
+    if "\\;" in body:
+        # A segment that ends in an unpaired backslash would escape its ';'. A
+        # space between them keeps the ';' a separator; the parser strips it.
+        body = " ".join(seg + (" ;" if _escapes_next(seg) else ";") for seg in segments)
+    return f"{head} ({body})"
+
+
+def _escapes_next(text: str) -> bool:
+    """Whether text ends in an unpaired backslash, which escapes what follows it."""
+    return text.endswith("\\") and (len(text) - len(text.rstrip("\\"))) % 2 == 1
 
 
 def _logical_lines(text: str):

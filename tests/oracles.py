@@ -2,14 +2,21 @@
 
 Everything here is deliberately naive: plain dicts, quadratic loops, full DP
 matrices, and brute-force cluster merging. None of it shares code with the
-package beyond the UNK sentinel string, so agreement is meaningful. The one
-exception, posterior_loop, reads a fitted model's counts to score them the
-way the package once did, one record at a time.
+package beyond the UNK sentinel string, so agreement is meaningful. The
+exceptions are the package's own earlier implementations, kept as references
+for the faster code that replaced them: posterior_loop scores a fitted model
+one record at a time, model_json writes a model file through json.dumps, and
+split_options splits a rule body one character at a time.
 """
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+
+from ruleforge.bayes import MODEL_FORMAT, MODEL_VERSION
+from ruleforge.parser import UnterminatedOption
 
 UNK = "UNK"
 
@@ -137,6 +144,83 @@ def posterior_loop(model, observation: dict[str, int], target: str):
         )
     shifted = np.exp(log_scores - log_scores.max())
     return log_scores, shifted / shifted.sum()
+
+
+# ---------------------------------------------------------------------------
+# model file text through json.dumps, the byte-exact reference
+
+
+def model_json(model) -> str:
+    """The model file that SmoothedModel.to_json wrote through json.dumps."""
+    pairs: dict[str, dict[str, list[list[int]]]] = {}
+    for (a, b), table in model.counts.pair_counts.items():
+        rows, cols = np.nonzero(table)
+        triplets = [
+            [int(r), int(c), int(table[r, c])] for r, c in zip(rows, cols)
+        ]
+        pairs.setdefault(a, {})[b] = triplets
+    payload = {
+        "format": MODEL_FORMAT,
+        "version": MODEL_VERSION,
+        "alpha": model.alpha,
+        "smoothing": model.smoothing,
+        "skip_unk_evidence": model.skip_unk_evidence,
+        "with_prior": model.with_prior,
+        "num_samples": model.counts.num_samples,
+        "vocab_sha256": model.vocab.sha256(),
+        "vocabulary": {a: list(model.vocab.values[a]) for a in model.vocab.attributes},
+        "marginals": {
+            a: [int(c) for c in model.counts.marginal_counts[a]]
+            for a in model.vocab.attributes
+        },
+        "pairs": pairs,
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# character-loop option splitter, the segment-exact reference
+
+
+def split_options(body: str, base_offset: int) -> list[tuple[str, int]]:
+    """Split a rule body into option segments on unquoted, unescaped ';'.
+
+    Returns (segment text, byte offset of segment start). A final segment
+    without a trailing semicolon is accepted.
+    """
+    segments: list[tuple[str, int]] = []
+    current: list[str] = []
+    seg_start = 0
+    in_quotes = False
+    escaped = False
+    quote_open = 0
+    for i, ch in enumerate(body):
+        if escaped:
+            current.append(ch)
+            escaped = False
+            continue
+        if ch == "\\":
+            current.append(ch)
+            escaped = True
+            continue
+        if ch == '"':
+            in_quotes = not in_quotes
+            if in_quotes:
+                quote_open = i
+            current.append(ch)
+            continue
+        if ch == ";" and not in_quotes:
+            segments.append(("".join(current), base_offset + seg_start))
+            current = []
+            seg_start = i + 1
+            continue
+        current.append(ch)
+    if in_quotes:
+        raise UnterminatedOption("unterminated quoted value", offset=base_offset + quote_open)
+    tail = "".join(current)
+    if tail.strip():
+        segments.append((tail, base_offset + seg_start))
+    return segments
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ from ruleforge import (
     SmoothedModel,
     UnknownAttribute,
     bayes,
+    build_vocabulary,
     conditional_probability,
+    encode_corpus,
     fit,
     predict_above_threshold,
     predict_distribution,
@@ -375,3 +377,54 @@ class TestPersistence:
         path.write_text('{"format": "something-else", "version": 1}')
         with pytest.raises(RuleforgeError):
             SmoothedModel.load(str(path))
+
+
+class TestModelFileBytes:
+    """to_json writes the bytes json.dumps(payload, sort_keys=True, indent=1) wrote."""
+
+    @staticmethod
+    def assert_same_bytes(model, tmp_path):
+        text = model.to_json()
+        assert text == oracles.model_json(model)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        assert path.read_text(encoding="utf-8") == text
+        assert SmoothedModel.load(str(path)).to_json() == text
+
+    def test_sample_netbios_model(self, sample_rules, tmp_path):
+        vocab = build_vocabulary(sample_rules)
+        model = fit(encode_corpus(sample_rules, vocab), vocab)
+        assert len(vocab.attributes) > 2
+        self.assert_same_bytes(model, tmp_path)
+
+    @pytest.mark.parametrize("corpus", [[{}, {}], [{"only": "a"}, {"only": "b"}, {}]])
+    def test_no_pair_tables(self, corpus, tmp_path):
+        vocab = vocabulary_from_dicts(corpus)
+        model = fit(encode_dicts(corpus, vocab), vocab)
+        assert len(vocab.attributes) == len(corpus[0])
+        assert '"pairs": {}' in model.to_json()
+        self.assert_same_bytes(model, tmp_path)
+
+    def test_escaped_strings(self, tmp_path):
+        awkward = ['say "hi"', "back\\slash", "nul\x00tab\tnl\nbell\x07", "\x1f", "café", "𝄞"]
+        corpus = [
+            {"k\x1f\"é": awkward[i % 6], "plain": awkward[(i * 5) % 6], "z𝄞": str(i % 2)}
+            for i in range(9)
+        ]
+        vocab = vocabulary_from_dicts(corpus)
+        model = fit(encode_dicts(corpus, vocab), vocab)
+        self.assert_same_bytes(model, tmp_path)
+
+    @pytest.mark.parametrize("alpha", [0.1, 1e-300, 3.0])
+    @pytest.mark.parametrize("smoothing", bayes.SMOOTHING_MODES)
+    @pytest.mark.parametrize("skip_unk_evidence", [False, True])
+    @pytest.mark.parametrize("with_prior", [False, True])
+    def test_configurations(self, alpha, smoothing, skip_unk_evidence, with_prior, tmp_path):
+        model, _ = fit_dicts(
+            SMALL_DICT_CORPORA["random_20x6"],
+            alpha,
+            smoothing=smoothing,
+            skip_unk_evidence=skip_unk_evidence,
+            with_prior=with_prior,
+        )
+        self.assert_same_bytes(model, tmp_path)

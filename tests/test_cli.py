@@ -10,6 +10,7 @@ import pytest
 from conftest import TABLE2_TEXTS
 from ruleforge import SmoothedModel, __version__, parse_rule, parse_ruleset
 from ruleforge.cli import load_config, run
+from ruleforge.encoding import AttributeVocabulary
 
 
 @pytest.fixture(autouse=True)
@@ -277,6 +278,12 @@ class TestGenerate:
             "count_1e30",
             "row_sums",
             "column_sums",
+            "unk_swapped",
+            "unk_missing",
+            "value_duplicate",
+            "values_out_of_order",
+            "unk_repeated",
+            "version_2",
         ],
     )
     def test_malformed_model_exits_2(self, tmp_path, table2_file, trained_model, defect):
@@ -314,8 +321,26 @@ class TestGenerate:
                 cells[0][2] = 10**30
             elif defect == "row_sums":  # the column sums still hold
                 cells[0][0] = (cells[0][0] + 1) % len(payload["vocabulary"][a])
-            else:  # the row sums still hold
+            elif defect == "column_sums":  # the row sums still hold
                 cells[0][1] = (cells[0][1] + 1) % len(payload["vocabulary"][b])
+            elif defect == "version_2":
+                payload["version"] = 2
+            else:  # a vocabulary build_vocabulary cannot make, its hash recomputed
+                values = payload["vocabulary"]["byte_test"]  # UNK and two values
+                if defect == "unk_swapped":
+                    values[0], values[1] = values[1], values[0]
+                elif defect == "unk_missing":  # still increasing: "!" < "4,>,256,..."
+                    values[0] = "!"
+                elif defect == "value_duplicate":
+                    values[2] = values[1]
+                elif defect == "unk_repeated":  # still increasing: "4,>,256,..." < "UNK"
+                    values[2] = "UNK"
+                else:
+                    values[1], values[2] = values[2], values[1]
+                vocabulary = {k: tuple(v) for k, v in payload["vocabulary"].items()}
+                payload["vocab_sha256"] = AttributeVocabulary(
+                    attributes=tuple(sorted(vocabulary)), values=vocabulary
+                ).sha256()
             text = json.dumps(payload)
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

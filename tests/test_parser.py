@@ -220,6 +220,24 @@ class TestSerializeRule:
         assert text.index("zzz") < text.index("aaa")
         assert parse_rule(text) == rule
 
+    @pytest.mark.parametrize(
+        "text, serialized",
+        [
+            # an unpaired backslash at the end of a value, a flag or a msg
+            ("(flow:a\\ ;sid:1)", "(flow:a\\ ; sid:1;)"),
+            ("(x\\)", "(x\\ ;)"),
+            ("(msg:x\\)", "(msg:x\\ ;)"),
+            ("(reference:r\\\t; rev:2;)", "(reference:r\\ ; rev:2;)"),
+            # paired backslashes escape nothing past the value
+            ('(content:a\\\\; msg:"b\\\\";)', '(content:a\\\\; msg:"b\\\\";)'),
+        ],
+    )
+    def test_trailing_backslash_does_not_escape_the_separator(self, text, serialized):
+        head = "alert tcp any any -> any any "
+        rule = parse_rule(head + text)
+        assert serialize_rule(rule) == head + serialized
+        assert parse_rule(serialize_rule(rule)) == rule
+
 
 class TestParseRuleset:
     def test_comments_and_blanks_skipped(self):
