@@ -300,9 +300,13 @@ def serialize_rule(rule: ParsedRule, *, require_sid: bool = False) -> str:
         for opt in sorted(rule.options, key=lambda o: o.ordinal)
     ]
     if rule.msg is not None:
-        # Quotes around a msg that ends in an unpaired backslash would leave
-        # the closing quote escaped; such a msg was unquoted in its rule.
-        segments.append(f"msg:{rule.msg}" if _escapes_next(rule.msg) else f'msg:"{rule.msg}"')
+        # The msg is quoted unless the quoted text would not split as one
+        # segment: a ';' outside the msg's own quotes, or a trailing backslash
+        # that escapes the closing quote. The parser gave such a msg unquoted,
+        # and it is written so.
+        quoted = f'"{rule.msg}"'
+        whole = _SEGMENT.match(quoted).end() == len(quoted)
+        segments.append(f"msg:{quoted}" if whole else f"msg:{rule.msg}")
     for ref in rule.references:
         segments.append(f"reference:{ref}")
     if rule.sid is not None:
@@ -311,17 +315,15 @@ def serialize_rule(rule: ParsedRule, *, require_sid: bool = False) -> str:
         segments.append(f"rev:{rule.rev}")
     if not segments:
         return head
-    body = "; ".join(segments) + ";"
-    if "\\;" in body:
-        # A segment that ends in an unpaired backslash would escape its ';'. A
-        # space between them keeps the ';' a separator; the parser strips it.
-        body = " ".join(seg + (" ;" if _escapes_next(seg) else ";") for seg in segments)
+    # A segment that ends in an unpaired backslash would escape its ';'. A
+    # space between them keeps the ';' a separator; the parser strips it.
+    body = " ".join([seg + (" ;" if _escapes_next(seg) else ";") for seg in segments])
     return f"{head} ({body})"
 
 
 def _escapes_next(text: str) -> bool:
     """Whether text ends in an unpaired backslash, which escapes what follows it."""
-    return text.endswith("\\") and (len(text) - len(text.rstrip("\\"))) % 2 == 1
+    return (len(text) - len(text.rstrip("\\"))) % 2 == 1
 
 
 def _logical_lines(text: str):

@@ -228,11 +228,19 @@ class TestSerializeRule:
             ("(x\\)", "(x\\ ;)"),
             ("(msg:x\\)", "(msg:x\\ ;)"),
             ("(reference:r\\\t; rev:2;)", "(reference:r\\ ; rev:2;)"),
+            # a quoted msg whose last quote is escaped keeps its quotes
+            ('(msg:""a\\";)', '(msg:""a\\";)'),
             # paired backslashes escape nothing past the value
             ('(content:a\\\\; msg:"b\\\\";)', '(content:a\\\\; msg:"b\\\\";)'),
+            # a msg is quoted only where the quotes keep it one segment: not
+            # around a ';' outside its own quotes
+            ('(msg:";"a)', '(msg:";"a;)'),
+            ('(msg:a";")', '(msg:a";";)'),
+            # nor before a closing quote that a trailing backslash would escape
+            ('(msg:"\\""\\)', '(msg:"\\""\\ ;)'),
         ],
     )
-    def test_trailing_backslash_does_not_escape_the_separator(self, text, serialized):
+    def test_serialized_segments_split_back_unchanged(self, text, serialized):
         head = "alert tcp any any -> any any "
         rule = parse_rule(head + text)
         assert serialize_rule(rule) == head + serialized

@@ -3,6 +3,7 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import itertools
 import time
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ruleforge import parse_rule, parse_ruleset, serialize_rule
+from ruleforge import RuleforgeError, parse_rule, parse_ruleset, serialize_rule
 from ruleforge.parser import UnterminatedOption, _split_options
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=500)
@@ -75,10 +76,23 @@ def test_parse_ruleset_never_raises(text):
 @example(text="alert tcp any any -> any any (flow:a\\ ; sid:1;)")
 @example(text="alert tcp any any -> any any (msg:x\\)")
 @example(text='alert tcp any any -> any any (msg:"x" y\\ ; reference:r\\\t; rev:2)')
+@example(text='alert tcp any any -> any any (msg:""a\\";)')
+@example(text='alert tcp any any -> any any (msg:";"a)')
 def test_serialize_then_parse_is_a_fixed_point(text):
     rules, _ = parse_ruleset(text)
     for rule in rules:
         assert parse_rule(serialize_rule(rule)) == rule
+
+
+@pytest.mark.parametrize("key", ["msg:", "flow:", "x"])
+def test_serialize_then_parse_is_a_fixed_point_on_every_short_body(key):
+    for length in range(6):
+        for chars in itertools.product('"\\; a', repeat=length):
+            try:
+                rule = parse_rule("alert tcp any any -> any any (" + key + "".join(chars) + ")")
+            except RuleforgeError:
+                continue
+            assert parse_rule(serialize_rule(rule)) == rule
 
 
 def test_unterminated_quote_fails_in_linear_time():
