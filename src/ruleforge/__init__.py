@@ -34,7 +34,6 @@ from .encoding import (
     UNK,
     AttributeVocabulary,
     EmptyCorpus,
-    EncodedRule,
     ExclusionList,
     MissingAssignment,
     UnknownAttribute,
@@ -118,7 +117,6 @@ __all__ = [
     "UNK",
     "AttributeVocabulary",
     "EmptyCorpus",
-    "EncodedRule",
     "ExclusionList",
     "MissingAssignment",
     "UnknownAttribute",

@@ -18,6 +18,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
+import numpy as np
+
 from .bayes import (
     PosteriorDistribution,
     SmoothedModel,
@@ -26,7 +28,7 @@ from .bayes import (
     predict_mle,
     predict_topk,
 )
-from .encoding import UNK, AttributeVocabulary, EncodedRule, encode_rule
+from .encoding import UNK, AttributeVocabulary, encode_rule
 from .errors import RuleforgeError
 from .parser import (
     HEADER_ATTRIBUTES,
@@ -88,24 +90,22 @@ class Strategy:
 
 @dataclass
 class SeedObservation:
-    """A seed rule paired with its encoding under the model vocabulary."""
+    """A seed rule paired with its code row under the model vocabulary."""
 
     rule: ParsedRule
-    encoded: EncodedRule
+    encoded: np.ndarray
     seed_sid: int
 
     @classmethod
-    def from_rule(
-        cls, rule: ParsedRule, vocab: AttributeVocabulary, rule_id: int = 0
-    ) -> "SeedObservation":
+    def from_rule(cls, rule: ParsedRule, vocab: AttributeVocabulary) -> "SeedObservation":
         return cls(
             rule=rule,
-            encoded=encode_rule(rule, vocab, rule_id=rule_id),
+            encoded=encode_rule(rule, vocab),
             seed_sid=rule.sid if rule.sid is not None else 0,
         )
 
     def value_of(self, vocab: AttributeVocabulary, attribute: str) -> str:
-        return vocab.value_at(attribute, self.encoded.values[attribute])
+        return vocab.value_at(attribute, self.encoded[vocab.attributes.index(attribute)])
 
 
 @dataclass

@@ -31,11 +31,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .encoding import UNK, AttributeVocabulary, EncodedRule, UnknownAttribute, code_matrix
+from .encoding import UNK, AttributeVocabulary, UnknownAttribute
 from .errors import RuleforgeError
 
 MODEL_FORMAT = "ruleforge-model"
@@ -288,7 +288,7 @@ def _pair_table(triplets, marginal_a: np.ndarray, marginal_b: np.ndarray) -> np.
 
 
 def fit(
-    dataset: Sequence[EncodedRule],
+    codes: np.ndarray,
     vocab: AttributeVocabulary,
     alpha: float = 1.0,
     *,
@@ -296,15 +296,15 @@ def fit(
     skip_unk_evidence: bool = False,
     with_prior: bool = False,
 ) -> SmoothedModel:
-    """Count marginals and pairwise co-occurrences over the encoded corpus."""
-    if not dataset:
+    """Count marginals and pairwise co-occurrences over encode_corpus's (n x A) codes."""
+    if len(codes) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if smoothing not in SMOOTHING_MODES:
         raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
     attrs = vocab.attributes
-    columns = dict(zip(attrs, np.ascontiguousarray(code_matrix(dataset, vocab).T)))
+    columns = dict(zip(attrs, np.ascontiguousarray(codes.T)))
     marginals = {a: np.bincount(columns[a], minlength=vocab.size(a)) for a in attrs}
     pair_counts: dict[tuple[str, str], np.ndarray] = {}
     for i, a in enumerate(attrs):
@@ -316,7 +316,7 @@ def fit(
                 size_a, size_b
             )
     counts = CountTable(
-        marginal_counts=marginals, pair_counts=pair_counts, num_samples=len(dataset)
+        marginal_counts=marginals, pair_counts=pair_counts, num_samples=len(codes)
     )
     return SmoothedModel(
         counts=counts,
@@ -357,7 +357,7 @@ def posterior_log_scores(model: SmoothedModel, codes: np.ndarray, target: str) -
     """(m x |V_target|) log unnormalized posterior scores, one row per row of codes.
 
     codes is an (m x A) int array with columns in vocab.attributes order (see
-    encoding.code_matrix). Every other attribute adds one log conditional per
+    encoding.encode_corpus). Every other attribute adds one log conditional per
     row, in vocabulary order (a row's UNK evidence is skipped when the model
     was fitted with skip_unk_evidence), then the prior term when it is on.
     The operations per element are those of a one-row call, so a row's
@@ -397,15 +397,15 @@ def _normalize(log_scores: np.ndarray) -> np.ndarray:
 
 
 def predict_distribution(
-    model: SmoothedModel, observation: EncodedRule, target: str
+    model: SmoothedModel, row: np.ndarray, target: str
 ) -> PosteriorDistribution:
-    """Posterior over the target attribute's values given the observation.
+    """Posterior over the target attribute's values given one row of codes.
 
     Every other vocabulary attribute contributes one conditional factor
     (UNK-valued evidence included unless the model was fitted with
     skip_unk_evidence). Computed in log space by posterior_log_scores.
     """
-    log_scores = posterior_log_scores(model, code_matrix([observation], model.vocab), target)
+    log_scores = posterior_log_scores(model, row.reshape(1, -1), target)
     return PosteriorDistribution(
         attribute=target,
         values=model.vocab.values[target],

@@ -86,7 +86,7 @@ def _bounded(kind, description: str, accept):
 
 
 _FOLDS = _bounded(int, "an integer >= 2", lambda v: v >= 2)
-_TOPK = _bounded(int, "an integer >= 1", lambda v: v >= 1)
+_POSITIVE_INT = _bounded(int, "an integer >= 1", lambda v: v >= 1)
 _LIMIT = _bounded(int, "an integer >= 0", lambda v: v >= 0)
 _SID_BASE = _bounded(int, f"an integer >= {DEFAULT_SID_BASE}", lambda v: v >= DEFAULT_SID_BASE)
 _ALPHA = _bounded(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
@@ -213,7 +213,7 @@ def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
         help="probability cutoff in [0, 1] for the threshold strategy (default 0.01)",
     )
     sub.add_argument(
-        "--topk", type=_TOPK, default=3, help="k for the topk strategy, >= 1 (default 3)"
+        "--topk", type=_POSITIVE_INT, default=3, help="k for the topk strategy, >= 1 (default 3)"
     )
     sub.add_argument(
         "--allow-insertion",
@@ -240,9 +240,9 @@ def _add_cluster_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--cut-count",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
-        help="cut the dendrogram to this many clusters (default ceil(sqrt(n)))",
+        help="cut the dendrogram to this many clusters, >= 1 (default ceil(sqrt(n)))",
     )
     sub.add_argument(
         "--cut-height",
@@ -428,8 +428,11 @@ def _strategy(args) -> Strategy:
 
 
 def _distance_params(args) -> DistanceParams:
+    """The distance weights, once the cluster flags that exclude each other are checked."""
     if args.w1 == 0 and args.w2 == 0:
         raise UsageError("--w1 and --w2 cannot both be 0")
+    if args.cut_count is not None and args.cut_height is not None:
+        raise UsageError("--cut-count and --cut-height cannot both be given")
     return DistanceParams(w1=args.w1, w2=args.w2)
 
 
@@ -450,9 +453,8 @@ def _cmd_parse(args) -> int:
 def _cmd_train(args) -> int:
     rules, _ = _read_rules(args.rules)
     vocab = build_vocabulary(rules, _exclusions(args, drop_constant=not args.keep_constant))
-    encoded = encode_corpus(rules, vocab)
     model = fit(
-        encoded,
+        encode_corpus(rules, vocab),
         vocab,
         args.alpha,
         smoothing=args.smoothing,

@@ -4,6 +4,11 @@ Every rule is represented over the same closed set of attributes: the five
 synthetic header attributes plus every option key observed in the corpus
 (minus exclusions). Attributes a rule does not carry take the reserved UNK
 value, so encoding is total and every record has one value per attribute.
+
+A corpus encodes as one (n x A) int64 code matrix: row i is rules[i], the
+columns follow vocab.attributes, and each code indexes that attribute's
+values (0 is UNK). It is the one encoded form: fit counts its columns, the
+posterior kernel scores its rows, and the cluster feature is one more column.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -96,15 +101,6 @@ class AttributeVocabulary:
     def one_hot_width(self) -> int:
         return sum(len(self.values[a]) for a in self.attributes)
 
-    def offsets(self) -> dict[str, int]:
-        """Start column of each attribute's block in the one-hot layout."""
-        offsets: dict[str, int] = {}
-        position = 0
-        for attr in self.attributes:
-            offsets[attr] = position
-            position += len(self.values[attr])
-        return offsets
-
     def to_json(self) -> str:
         payload = {
             "format": VOCABULARY_FORMAT,
@@ -131,21 +127,6 @@ class AttributeVocabulary:
             separators=(",", ":"),
         )
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class EncodedRule:
-    """One rule as value indices over a vocabulary."""
-
-    rule_id: int
-    values: dict[str, int]
-
-    def one_hot(self, vocab: AttributeVocabulary) -> np.ndarray:
-        """Expanded binary vector; exactly one 1 per attribute block."""
-        vector = np.zeros(vocab.one_hot_width(), dtype=np.int8)
-        for attr, offset in vocab.offsets().items():
-            vector[offset + self.values[attr]] = 1
-        return vector
 
 
 def build_vocabulary(
@@ -177,73 +158,56 @@ def build_vocabulary(
     return AttributeVocabulary(attributes=tuple(names), values=values)
 
 
-def encode_rule(
-    rule: ParsedRule, vocab: AttributeVocabulary, rule_id: int = 0
-) -> EncodedRule:
-    """Encode one rule. Total: absent attributes and unseen values become UNK."""
-    present = rule.attribute_values()
-    return EncodedRule(
-        rule_id=rule_id,
-        values={attr: vocab.index_of(attr, present.get(attr)) for attr in vocab.attributes},
-    )
+def encode_corpus(rules: Sequence[ParsedRule], vocab: AttributeVocabulary) -> np.ndarray:
+    """(n x A) int64 value codes of rules, columns in vocab.attributes order.
 
-
-def code_matrix(records: Sequence[EncodedRule], vocab: AttributeVocabulary) -> np.ndarray:
-    """(n x A) int64 value codes, columns in vocab.attributes order.
-
-    The one place per-rule dicts become arrays: fit counts its columns and
-    the posterior kernel scores its rows. A missing attribute reads UNK (0).
+    Total: an absent attribute or an unseen value encodes as UNK (0).
     """
     attrs = vocab.attributes
+    tables = [vocab._index[attr] for attr in attrs]
     unk = [0] * len(attrs)
-    flat = itertools.chain.from_iterable(map(r.values.get, attrs, unk) for r in records)
-    codes = np.fromiter(flat, dtype=np.int64, count=len(records) * len(attrs))
-    return codes.reshape(len(records), len(attrs))
+    flat = itertools.chain.from_iterable(
+        map(dict.get, tables, map(rule.attribute_values().get, attrs), unk) for rule in rules
+    )
+    codes = np.fromiter(flat, dtype=np.int64, count=len(rules) * len(attrs))
+    return codes.reshape(len(rules), len(attrs))
 
 
-def encode_corpus(
-    rules: Sequence[ParsedRule],
-    vocab: AttributeVocabulary,
-    rule_ids: Iterable[int] | None = None,
-) -> list[EncodedRule]:
-    """Encode a corpus; rule_ids default to the positional index."""
-    ids = list(rule_ids) if rule_ids is not None else list(range(len(rules)))
-    return [encode_rule(rule, vocab, rule_id=i) for rule, i in zip(rules, ids)]
+def encode_rule(rule: ParsedRule, vocab: AttributeVocabulary) -> np.ndarray:
+    """The one code row of rule (see encode_corpus)."""
+    return encode_corpus([rule], vocab)[0]
 
 
 def attach_cluster_feature(
-    encoded: Sequence[EncodedRule],
-    assignment,
+    codes: np.ndarray,
+    labels: Mapping[int, int],
     vocab: AttributeVocabulary,
     *,
     strict: bool = False,
     augmented_vocab: AttributeVocabulary | None = None,
-) -> tuple[AttributeVocabulary, list[EncodedRule]]:
-    """Add the synthetic cluster_id attribute to vocabulary and records.
+) -> tuple[AttributeVocabulary, np.ndarray]:
+    """Add the synthetic cluster_id attribute to the vocabulary and the codes.
 
-    ``assignment`` is a ClusterAssignment or a plain mapping rule_id -> label.
-    Rules outside the assignment encode as UNK unless strict, in which case
+    labels maps a row position of codes to its cluster label. The returned
+    matrix is a copy with one column inserted at cluster_id's sorted place.
+    Rows without a label encode as UNK unless strict, in which case
     MissingAssignment is raised. Pass ``augmented_vocab`` to reuse a
     vocabulary already extended with cluster labels (e.g. for test rules).
     """
-    labels: Mapping[int, int] = getattr(assignment, "labels", assignment)
+    rows = range(len(codes))
     if augmented_vocab is None:
-        seen = sorted({str(labels[e.rule_id]) for e in encoded if e.rule_id in labels})
+        seen = sorted({str(labels[row]) for row in rows if row in labels})
         values = dict(vocab.values)
         values[CLUSTER_ATTRIBUTE] = (UNK, *seen)
         augmented_vocab = AttributeVocabulary(
             attributes=tuple(sorted(vocab.attributes + (CLUSTER_ATTRIBUTE,))),
             values=values,
         )
-    out: list[EncodedRule] = []
-    for record in encoded:
-        if record.rule_id in labels:
-            index = augmented_vocab.index_of(CLUSTER_ATTRIBUTE, str(labels[record.rule_id]))
+    column = np.zeros(len(codes), dtype=np.int64)
+    for row in rows:
+        if row in labels:
+            column[row] = augmented_vocab.index_of(CLUSTER_ATTRIBUTE, str(labels[row]))
         elif strict:
-            raise MissingAssignment(f"rule_id {record.rule_id} has no cluster label")
-        else:
-            index = 0
-        values = dict(record.values)
-        values[CLUSTER_ATTRIBUTE] = index
-        out.append(EncodedRule(rule_id=record.rule_id, values=values))
-    return augmented_vocab, out
+            raise MissingAssignment(f"row {row} has no cluster label")
+    position = augmented_vocab.attributes.index(CLUSTER_ATTRIBUTE)
+    return augmented_vocab, np.insert(codes, position, column, axis=1)

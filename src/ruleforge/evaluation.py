@@ -29,7 +29,8 @@ from .abduction import (
     build_candidate_graph,
     enumerate_rules,
 )
-# predict_distribution is not called here; perfbench/tracing.py wraps it under this module's name
+# predict_distribution and encode_rule are not called here; perfbench/tracing.py
+# wraps them under this module's name
 from .bayes import SmoothedModel, fit, predict_distribution, predict_mle_rows
 from .clustering import DistanceMatrix, DistanceParams, agglomerate, build_distance_matrix
 from .encoding import (
@@ -38,7 +39,7 @@ from .encoding import (
     ExclusionList,
     attach_cluster_feature,
     build_vocabulary,
-    code_matrix,
+    encode_corpus,
     encode_rule,
 )
 from .errors import RuleforgeError
@@ -231,20 +232,14 @@ def loco_evaluate(
     for fold_index, test_ids in enumerate(folds):
         test_set = set(int(i) for i in test_ids)
         train_ids = [i for i in range(n) if i not in test_set]
-        train_rules = [rules[i] for i in train_ids]
-        test_rules = [rules[i] for i in sorted(test_set)]
         sorted_test_ids = sorted(test_set)
 
-        vocab = build_vocabulary(train_rules, exclude)
-        encoded_train = [
-            encode_rule(rule, vocab, rule_id=i) for rule, i in zip(train_rules, train_ids)
-        ]
-        encoded_test = [
-            encode_rule(rule, vocab, rule_id=i)
-            for rule, i in zip(test_rules, sorted_test_ids)
-        ]
+        vocab = build_vocabulary([rules[i] for i in train_ids], exclude)
+        codes = encode_corpus(rules, vocab)
+        train_codes = codes[train_ids]
+        test_codes = codes[sorted_test_ids]
         model = fit(
-            encoded_train,
+            train_codes,
             vocab,
             alpha,
             smoothing=smoothing,
@@ -252,7 +247,6 @@ def loco_evaluate(
             with_prior=with_prior,
         )
 
-        test_codes = code_matrix(encoded_test, vocab)
         cluster_model = None
         cluster_test_codes = None
         if with_clusters:
@@ -269,15 +263,18 @@ def loco_evaluate(
                     labels[rule_id] = _nearest_cluster(distances, train_ids, labels)
             else:
                 labels = full_assignment.labels
-            cluster_vocab, encoded_train_cluster = attach_cluster_feature(
-                encoded_train, labels, vocab
+            # every rule has a label; attach_cluster_feature keys them by row
+            cluster_vocab, cluster_train_codes = attach_cluster_feature(
+                train_codes, dict(enumerate(labels[i] for i in train_ids)), vocab
             )
-            _, encoded_test_cluster = attach_cluster_feature(
-                encoded_test, labels, vocab, augmented_vocab=cluster_vocab
+            _, cluster_test_codes = attach_cluster_feature(
+                test_codes,
+                dict(enumerate(labels[i] for i in sorted_test_ids)),
+                vocab,
+                augmented_vocab=cluster_vocab,
             )
-            cluster_test_codes = code_matrix(encoded_test_cluster, cluster_vocab)
             cluster_model = fit(
-                encoded_train_cluster,
+                cluster_train_codes,
                 cluster_vocab,
                 alpha,
                 smoothing=smoothing,

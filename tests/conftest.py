@@ -10,7 +10,6 @@ import pytest
 from ruleforge import (
     UNK,
     AttributeVocabulary,
-    EncodedRule,
     parse_rule,
     parse_ruleset,
 )
@@ -149,6 +148,15 @@ SMALL_DICT_CORPORA = {
 }
 
 
+# (alpha, fit keywords): default, skip_unk_evidence, with_prior + conventional, alpha 0.37
+MODEL_CONFIGS = [
+    (1.0, {}),
+    (1.0, {"skip_unk_evidence": True}),
+    (1.0, {"with_prior": True, "smoothing": "conventional"}),
+    (0.37, {}),
+]
+
+
 def vocabulary_from_dicts(corpus: list[dict]) -> AttributeVocabulary:
     attrs = sorted({key for row in corpus for key in row})
     values = {}
@@ -159,17 +167,12 @@ def vocabulary_from_dicts(corpus: list[dict]) -> AttributeVocabulary:
     return AttributeVocabulary(attributes=tuple(attrs), values=values)
 
 
-def encode_dicts(corpus: list[dict], vocab: AttributeVocabulary) -> list[EncodedRule]:
-    return [
-        EncodedRule(
-            rule_id=i,
-            values={
-                attr: vocab.index_of(attr, row.get(attr, UNK))
-                for attr in vocab.attributes
-            },
-        )
-        for i, row in enumerate(corpus)
+def encode_dicts(corpus: list[dict], vocab: AttributeVocabulary) -> np.ndarray:
+    """(n x A) code matrix of dict rows, the layout encode_corpus gives parsed rules."""
+    codes = [
+        [vocab.index_of(attr, row.get(attr, UNK)) for attr in vocab.attributes] for row in corpus
     ]
+    return np.array(codes, dtype=np.int64).reshape(len(corpus), len(vocab.attributes))
 
 
 @pytest.fixture

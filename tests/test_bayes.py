@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import SMALL_DICT_CORPORA, encode_dicts, vocabulary_from_dicts
+from conftest import MODEL_CONFIGS, SMALL_DICT_CORPORA, encode_dicts, vocabulary_from_dicts
 from ruleforge import (
     UNK,
     EmptyDataset,
@@ -22,7 +22,6 @@ from ruleforge import (
     predict_topk,
 )
 from ruleforge.bayes import posterior_log_scores, predict_mle_rows
-from ruleforge.encoding import EncodedRule, code_matrix
 
 
 def fit_dicts(corpus, alpha=1.0, **kwargs):
@@ -182,7 +181,7 @@ class TestPredictDistribution:
     def test_fit_is_order_invariant(self, ten_rule_corpus):
         vocab = vocabulary_from_dicts(ten_rule_corpus)
         forward = encode_dicts(ten_rule_corpus, vocab)
-        backward = list(reversed(forward))
+        backward = forward[::-1]
         assert fit(forward, vocab).to_json() == fit(backward, vocab).to_json()
 
     def test_count_invariants(self, ten_rule_corpus):
@@ -200,14 +199,6 @@ class TestPredictDistribution:
                 assert np.array_equal(pair.sum(axis=0), model.counts.marginal(b))
                 assert np.array_equal(model.counts.pair(b, a), pair.T)
 
-
-# default, skip_unk_evidence, with_prior + conventional, alpha 0.37
-MODEL_CONFIGS = [
-    (1.0, {}),
-    (1.0, {"skip_unk_evidence": True}),
-    (1.0, {"with_prior": True, "smoothing": "conventional"}),
-    (0.37, {}),
-]
 
 # "$HOME_NET" and "80" sort before "UNK", "any" and "smb" after it
 VALUE_POOL = ["$HOME_NET", "80", "445", "any", "smb", "x", "UNKNOWN"]
@@ -239,26 +230,20 @@ class TestBatchedPosterior:
         for _ in range(25):
             corpus = random_corpus(rng)
             model, vocab = fit_dicts(corpus, alpha=alpha, **kwargs)
-            codes = np.concatenate(
-                [code_matrix(encode_dicts(corpus, vocab), vocab), random_codes(rng, vocab, 12)]
-            )
-            records = [
-                EncodedRule(i, dict(zip(vocab.attributes, row)))
-                for i, row in enumerate(codes.tolist())
-            ]
+            codes = np.concatenate([encode_dicts(corpus, vocab), random_codes(rng, vocab, 12)])
             for target in vocab.attributes:
                 batched = posterior_log_scores(model, codes, target)
                 assert batched.shape == (len(codes), vocab.size(target))
-                for record, row in zip(records, batched):
+                for record, row in zip(codes, batched):
                     want_scores, want_normalized = oracles.posterior_loop(
-                        model, record.values, target
+                        model, dict(zip(vocab.attributes, record.tolist())), target
                     )
                     assert row.tobytes() == want_scores.tobytes()
                     got = predict_distribution(model, record, target)
                     assert got.log_scores.tobytes() == want_scores.tobytes()
                     assert got.normalized.tobytes() == want_normalized.tobytes()
                 assert predict_mle_rows(model, codes, target) == [
-                    predict_mle(predict_distribution(model, r, target)) for r in records
+                    predict_mle(predict_distribution(model, r, target)) for r in codes
                 ]
 
     @pytest.mark.parametrize(
@@ -269,7 +254,7 @@ class TestBatchedPosterior:
         corpus = [{"a": value, "b": "v"}, {"b": "v"}, {"a": "zz", "b": "w"}]
         model, vocab = fit_dicts(corpus)
         observation = observation_record({"b": "v"}, vocab)
-        codes = code_matrix([observation], vocab)
+        codes = observation.reshape(1, -1)
         distribution = predict_distribution(model, observation, "a")
         assert distribution.probability(value) == distribution.probability(UNK)
         assert predict_mle(distribution) == winner
@@ -280,9 +265,7 @@ class TestBatchedPosterior:
         corpus = [{"a": "$HOME_NET", "b": "v"}, {"b": "v"}, {"a": "zz", "b": "w"}]
         corpus += random_corpus(rng)
         model, vocab = fit_dicts(corpus)
-        codes = np.concatenate(
-            [code_matrix(encode_dicts(corpus, vocab), vocab), random_codes(rng, vocab, 30)]
-        )
+        codes = np.concatenate([encode_dicts(corpus, vocab), random_codes(rng, vocab, 30)])
         whole = {target: predict_mle_rows(model, codes, target) for target in vocab.attributes}
         monkeypatch.setattr(bayes, "_BLOCK_CELLS", 1)
         for target in vocab.attributes:
@@ -290,7 +273,7 @@ class TestBatchedPosterior:
 
     def test_unknown_target_raises(self, ten_rule_corpus):
         model, vocab = fit_dicts(ten_rule_corpus)
-        codes = code_matrix(encode_dicts(ten_rule_corpus, vocab), vocab)
+        codes = encode_dicts(ten_rule_corpus, vocab)
         with pytest.raises(UnknownAttribute):
             posterior_log_scores(model, codes, "nope")
         with pytest.raises(UnknownAttribute):

@@ -550,7 +550,11 @@ class TestFlagRanges:
             ("cluster", "w2=inf"),
             ("cluster", "w1=0 w2=0"),
             ("cluster", "cut-height=nan"),
+            ("cluster", "cut-count=0"),
+            ("cluster", "cut-count=-1"),
+            ("cluster", "cut-count=2 cut-height=1"),
             ("evaluate", "w1=0 w2=0"),
+            ("evaluate", "cut-count=0"),
         ],
     )
     def test_out_of_range_value_is_usage_error(

@@ -8,6 +8,7 @@ from ruleforge import (
     UNK,
     AttributeVocabulary,
     EmptyCorpus,
+    EmptyDataset,
     ExclusionList,
     MissingAssignment,
     UnknownAttribute,
@@ -15,6 +16,7 @@ from ruleforge import (
     build_vocabulary,
     encode_corpus,
     encode_rule,
+    fit,
     parse_rule,
 )
 
@@ -118,10 +120,9 @@ class TestVocabularyLookups:
         with pytest.raises(UnknownAttribute):
             vocab.value_at("nope", 0)
 
-    def test_sizes_offsets_and_width(self, vocab):
+    def test_sizes_and_width(self, vocab):
         assert vocab.size("flow") == 3
         assert vocab.one_hot_width() == 5
-        assert vocab.offsets() == {"flow": 0, "proto": 3}
 
     def test_json_round_trip_and_hash(self, vocab):
         text = vocab.to_json()
@@ -144,29 +145,34 @@ class TestEncodeRule:
         ]
         vocab = build_vocabulary(rules, ExclusionList(drop_constant=False))
         encoded = encode_rule(rules[1], vocab)
-        assert set(encoded.values) == set(vocab.attributes)
-        assert encoded.values["dsize"] == 0  # absent -> UNK
-        assert vocab.value_at("flow", encoded.values["flow"]) == "b"
+        assert encoded.shape == (len(vocab.attributes),)
+        assert encoded[vocab.attributes.index("dsize")] == 0  # absent -> UNK
+        assert vocab.value_at("flow", encoded[vocab.attributes.index("flow")]) == "b"
 
-    def test_encode_corpus_ids_default_to_position(self, sample_rules):
+    def test_encode_corpus_rows_follow_rule_order(self, sample_rules):
         vocab = build_vocabulary(sample_rules)
-        encoded = encode_corpus(sample_rules, vocab)
-        assert [e.rule_id for e in encoded] == list(range(len(sample_rules)))
-        custom = encode_corpus(sample_rules[:2], vocab, rule_ids=[7, 9])
-        assert [e.rule_id for e in custom] == [7, 9]
+        codes = encode_corpus(sample_rules, vocab)
+        assert codes.shape == (len(sample_rules), len(vocab.attributes))
+        assert codes.dtype == np.int64
+        for i, parsed in enumerate(sample_rules):
+            assert np.array_equal(codes[i], encode_rule(parsed, vocab))
+        assert np.array_equal(encode_corpus(sample_rules[::-1], vocab), codes[::-1])
 
-    def test_one_hot_has_one_bit_per_attribute(self, sample_rules):
+    def test_codes_are_in_range_and_match_index_of(self, sample_rules):
         vocab = build_vocabulary(sample_rules)
-        encoded = encode_corpus(sample_rules, vocab)
-        offsets = vocab.offsets()
-        for record in encoded:
-            vector = record.one_hot(vocab)
-            assert vector.shape == (vocab.one_hot_width(),)
-            assert vector.sum() == len(vocab.attributes)
-            for attr in vocab.attributes:
-                block = vector[offsets[attr] : offsets[attr] + vocab.size(attr)]
-                assert block.sum() == 1
-                assert int(np.flatnonzero(block)[0]) == record.values[attr]
+        codes = encode_corpus(sample_rules, vocab)
+        for parsed, row in zip(sample_rules, codes):
+            present = parsed.attribute_values()
+            for attr, code in zip(vocab.attributes, row.tolist()):
+                assert 0 <= code < vocab.size(attr)
+                assert code == vocab.index_of(attr, present.get(attr))
+
+    def test_empty_corpus_gives_zero_rows(self, sample_rules):
+        vocab = build_vocabulary(sample_rules)
+        codes = encode_corpus([], vocab)
+        assert codes.shape == (0, len(vocab.attributes))
+        with pytest.raises(EmptyDataset):
+            fit(codes, vocab)
 
 
 class TestAttachClusterFeature:
@@ -181,30 +187,51 @@ class TestAttachClusterFeature:
         return vocab, encode_corpus(rules, vocab)
 
     def test_adds_cluster_attribute(self, base):
-        vocab, encoded = base
+        vocab, codes = base
+        before = codes.copy()
         labels = {0: 0, 1: 1, 2: 0}
-        augmented, records = attach_cluster_feature(encoded, labels, vocab)
+        augmented, records = attach_cluster_feature(codes, labels, vocab)
         assert CLUSTER_ATTRIBUTE in augmented.attributes
         assert augmented.values[CLUSTER_ATTRIBUTE] == (UNK, "0", "1")
-        assert [r.values[CLUSTER_ATTRIBUTE] for r in records] == [1, 2, 1]
-        # original records untouched
-        assert all(CLUSTER_ATTRIBUTE not in r.values for r in encoded)
+        column = augmented.attributes.index(CLUSTER_ATTRIBUTE)
+        assert records[:, column].tolist() == [1, 2, 1]
+        # original codes untouched
+        assert np.array_equal(codes, before)
+
+    def test_column_goes_to_the_sorted_place(self):
+        # "classtype" sorts before cluster_id, "flow" and the header attributes after it
+        rules = [
+            rule("alert tcp any any -> any any (classtype:a; flow:a; sid:1;)"),
+            rule("alert udp any any -> any 53 (classtype:b; flow:b; sid:2;)"),
+        ]
+        vocab = build_vocabulary(rules, ExclusionList(drop_constant=False))
+        codes = encode_corpus(rules, vocab)
+        before = codes.copy()
+        augmented, records = attach_cluster_feature(codes, {0: 4, 1: 7}, vocab)
+        column = augmented.attributes.index(CLUSTER_ATTRIBUTE)
+        assert augmented.attributes[column - 1] < CLUSTER_ATTRIBUTE
+        assert augmented.attributes[column + 1] > CLUSTER_ATTRIBUTE
+        assert records.shape == (2, len(vocab.attributes) + 1)
+        assert records[:, column].tolist() == [1, 2]
+        assert np.array_equal(np.delete(records, column, axis=1), codes)
+        assert np.array_equal(codes, before)
 
     def test_uncovered_rule_gets_unk(self, base):
-        vocab, encoded = base
-        augmented, records = attach_cluster_feature(encoded, {0: 0, 1: 0}, vocab)
-        assert records[2].values[CLUSTER_ATTRIBUTE] == 0
+        vocab, codes = base
+        augmented, records = attach_cluster_feature(codes, {0: 0, 1: 0}, vocab)
+        assert records[2, augmented.attributes.index(CLUSTER_ATTRIBUTE)] == 0
 
     def test_strict_mode_raises_on_gap(self, base):
-        vocab, encoded = base
+        vocab, codes = base
         with pytest.raises(MissingAssignment):
-            attach_cluster_feature(encoded, {0: 0, 1: 0}, vocab, strict=True)
+            attach_cluster_feature(codes, {0: 0, 1: 0}, vocab, strict=True)
 
     def test_augmented_vocabulary_reuse(self, base):
-        vocab, encoded = base
-        augmented, _ = attach_cluster_feature(encoded[:2], {0: 0, 1: 1}, vocab)
-        # held-out record with a label the training vocabulary never saw
-        _, records = attach_cluster_feature(
-            encoded[2:], {2: 5}, vocab, augmented_vocab=augmented
+        vocab, codes = base
+        augmented, _ = attach_cluster_feature(codes[:2], {0: 0, 1: 1}, vocab)
+        # held-out row with a label the training vocabulary never saw
+        again, records = attach_cluster_feature(
+            codes[2:], {0: 5}, vocab, augmented_vocab=augmented
         )
-        assert records[0].values[CLUSTER_ATTRIBUTE] == 0  # unseen label -> UNK
+        assert again is augmented
+        assert records[0, augmented.attributes.index(CLUSTER_ATTRIBUTE)] == 0  # unseen -> UNK
