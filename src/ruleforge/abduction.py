@@ -164,15 +164,39 @@ def abduce_antecedents(
     removed, so a returned list holds genuine alternatives only. Attributes
     absent from the seed (UNK) yield no candidates unless allow_insertion.
     """
+    posteriors = seed_posteriors(model, seed, allow_insertion=allow_insertion)
+    return select_candidates(model.vocab, seed, strategy, posteriors)
+
+
+def seed_posteriors(
+    model: SmoothedModel, seed: SeedObservation, *, allow_insertion: bool = False
+) -> dict[str, PosteriorDistribution]:
+    """Posterior of each attribute abduction may change, predicted from all the others.
+
+    Those are the attributes the seed carries, or every one with allow_insertion.
+    """
     vocab = model.vocab
+    return {
+        attr: predict_distribution(model, seed.encoded, attr)
+        for attr in vocab.attributes
+        if allow_insertion or seed.value_of(vocab, attr) != UNK
+    }
+
+
+def select_candidates(
+    vocab: AttributeVocabulary,
+    seed: SeedObservation,
+    strategy: Strategy,
+    posteriors: Mapping[str, PosteriorDistribution],
+) -> dict[str, list[str]]:
+    """abduce_antecedents' candidates from seed_posteriors' distributions.
+
+    An attribute without a posterior gets no candidates.
+    """
     candidates: dict[str, list[str]] = {}
     for attr in vocab.attributes:
         seed_value = seed.value_of(vocab, attr)
-        if seed_value == UNK and not allow_insertion:
-            candidates[attr] = []
-            continue
-        distribution = predict_distribution(model, seed.encoded, attr)
-        selected = strategy.select(distribution)
+        selected = strategy.select(posteriors[attr]) if attr in posteriors else []
         candidates[attr] = [value for value in selected if value != seed_value]
     return candidates
 

@@ -17,6 +17,12 @@ one target: per evidence attribute it gathers the pair-table rows of all m
 records at once. predict_distribution is its one-row call, and
 predict_mle_rows takes the most likely value of every row.
 
+The pairwise counts are stored sparse: per attribute pair, only the nonzero
+cells, as an (nnz x 3) array of [row, col, count] in row-major order. Those
+are the model file's own triplet lists, and on a wide corpus they are a few
+percent of the dense (|V_a| x |V_b|) cells. CountTable.pair builds one dense
+table from them when a caller asks, so at most one is alive at a time.
+
 A model file is the JSON text json.dumps(payload, sort_keys=True, indent=1)
 gives. SmoothedModel.to_json writes those bytes itself, because an indent
 makes CPython's json fall back to its pure-Python encoder, which visits every
@@ -52,10 +58,11 @@ class EmptyDataset(RuleforgeError):
 class CountTable:
     """Marginal and pairwise co-occurrence counts.
 
-    pair_counts holds one (|V_a| x |V_b|) matrix per unordered attribute pair
-    (a < b); the transposed view serves the other direction. Row sums of each
-    pair table reproduce the first attribute's marginals, and every marginal
-    sums to num_samples.
+    pair_counts holds, per unordered attribute pair (a < b), the nonzero cells
+    of the (|V_a| x |V_b|) co-occurrence table as an (nnz x 3) int64 array of
+    [row, col, count], row-major with no cell repeated. pair() builds the
+    dense table in either direction. Row sums of each pair table reproduce the
+    first attribute's marginals, and every marginal sums to num_samples.
     """
 
     marginal_counts: dict[str, np.ndarray]
@@ -63,12 +70,20 @@ class CountTable:
     num_samples: int
 
     def pair(self, attr_a: str, attr_b: str) -> np.ndarray:
-        """Co-occurrence matrix indexed [value of attr_a, value of attr_b]."""
+        """Co-occurrence matrix indexed [value of attr_a, value of attr_b].
+
+        A new dense table, built from the stored cells on every call.
+        """
         if (attr_a, attr_b) in self.pair_counts:
-            return self.pair_counts[(attr_a, attr_b)]
-        if (attr_b, attr_a) in self.pair_counts:
-            return self.pair_counts[(attr_b, attr_a)].T
-        raise UnknownAttribute(f"no counts for attribute pair ({attr_a!r}, {attr_b!r})")
+            rows, cols, counts = self.pair_counts[(attr_a, attr_b)].T
+        elif (attr_b, attr_a) in self.pair_counts:
+            cols, rows, counts = self.pair_counts[(attr_b, attr_a)].T
+        else:
+            raise UnknownAttribute(f"no counts for attribute pair ({attr_a!r}, {attr_b!r})")
+        shape = (len(self.marginal(attr_a)), len(self.marginal(attr_b)))
+        table = np.zeros(shape, dtype=np.int64)
+        table[rows, cols] = counts
+        return table
 
     def marginal(self, attribute: str) -> np.ndarray:
         try:
@@ -125,13 +140,13 @@ class SmoothedModel:
 
         The bytes json.dumps(payload, sort_keys=True, indent=1) would give:
         strings escaped by json's own encode_basestring_ascii, scalars by
-        json.dumps, each integer list one str.join and each pair table's
-        nonzero [row, col, count] cells one more.
+        json.dumps, each integer list one str.join and each pair's stored
+        [row, col, count] cells one more.
         """
         attrs = self.vocab.attributes
         pairs: dict[str, dict[str, np.ndarray]] = {}
-        for (a, b), table in self.counts.pair_counts.items():
-            pairs.setdefault(a, {})[b] = table
+        for (a, b), cells in self.counts.pair_counts.items():
+            pairs.setdefault(a, {})[b] = cells
         scalars = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -152,7 +167,7 @@ class SmoothedModel:
         )
         fields["pairs"] = _json_object(
             {
-                a: _json_object({b: _json_cells(table, 4) for b, table in row.items()}, 3)
+                a: _json_object({b: _json_cells(cells, 4) for b, cells in row.items()}, 3)
                 for a, row in pairs.items()
             },
             2,
@@ -206,7 +221,7 @@ class SmoothedModel:
         pair_counts: dict[tuple[str, str], np.ndarray] = {}
         for a, row in payload["pairs"].items():
             for b, triplets in row.items():
-                pair_counts[(a, b)] = _pair_table(triplets, marginals[a], marginals[b])
+                pair_counts[(a, b)] = _pair_cells(triplets, marginals[a], marginals[b])
         counts = CountTable(
             marginal_counts=marginals,
             pair_counts=pair_counts,
@@ -248,28 +263,26 @@ def _json_object(members: dict[str, str], depth: int) -> str:
     return _json_block(keyed, depth, "{}")
 
 
-def _json_cells(table: np.ndarray, depth: int) -> str:
-    """The table's nonzero cells as [row, col, count] arrays, row-major."""
-    rows, cols = np.nonzero(table)
+def _json_cells(cells: np.ndarray, depth: int) -> str:
+    """The stored [row, col, count] cells as JSON arrays, in their order."""
     inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
     cell = f"[{inner}{{}},{inner}{{}},{inner}{{}}{outer}]"
-    counts = table[rows, cols]
-    return _json_block(map(cell.format, rows.tolist(), cols.tolist(), counts.tolist()), depth, "[]")
+    return _json_block(map(cell.format, *cells.T.tolist()), depth, "[]")
 
 
-def _pair_table(triplets, marginal_a: np.ndarray, marginal_b: np.ndarray) -> np.ndarray:
-    """Dense (|V_a| x |V_b|) counts from [row, col, count] triplets.
+def _pair_cells(triplets, marginal_a: np.ndarray, marginal_b: np.ndarray) -> np.ndarray:
+    """The (nnz x 3) stored cells of a file's [row, col, count] triplets.
 
-    Cells are summed, so a repeated cell counts twice. The row sums must be
-    marginal_a and the column sums marginal_b; both are taken from the cells,
-    which are far fewer than the dense table's.
+    The row sums must be marginal_a and the column sums marginal_b. The cells
+    come back canonical, as fit makes them: a repeated cell is summed into
+    one, zero counts are dropped and the rest sorted row-major.
     """
     if not set(map(len, triplets)) <= {3}:
         raise ValueError("pair cells must be [row, col, count] triplets")
     # fromiter over the flattened cells is about 2.5x faster than np.asarray on
     # the nested lists, and a model file holds tens of thousands of cells.
-    flat = itertools.chain.from_iterable(triplets)
-    cells = np.fromiter(flat, dtype=np.int64, count=3 * len(triplets))
+    numbers = itertools.chain.from_iterable(triplets)
+    cells = np.fromiter(numbers, dtype=np.int64, count=3 * len(triplets))
     rows, cols, counts = cells.reshape(-1, 3).T
     size_a, size_b = len(marginal_a), len(marginal_b)
     if (
@@ -282,9 +295,26 @@ def _pair_table(triplets, marginal_a: np.ndarray, marginal_b: np.ndarray) -> np.
     np.add.at(col_sums, cols, counts)
     if not (np.array_equal(row_sums, marginal_a) and np.array_equal(col_sums, marginal_b)):
         raise ValueError("pair counts do not sum to the marginals")
-    table = np.zeros(size_a * size_b, dtype=np.int64)
-    np.add.at(table, rows * size_b + cols, counts)
-    return table.reshape(size_a, size_b)
+    flat, inverse = np.unique(rows * size_b + cols, return_inverse=True)
+    summed = np.zeros(len(flat), dtype=np.int64)
+    np.add.at(summed, inverse, counts)
+    kept = summed > 0
+    return _cells(flat[kept], summed[kept], size_b)
+
+
+def _cells(flat: np.ndarray, counts: np.ndarray, size_b: int) -> np.ndarray:
+    """(nnz x 3) [row, col, count] cells from flat row-major cell indices."""
+    cells = np.empty((len(flat), 3), dtype=np.int64)
+    np.divmod(flat, size_b, out=(cells[:, 0], cells[:, 1]))
+    cells[:, 2] = counts
+    return cells
+
+
+def _count_cells(col_a: np.ndarray, col_b: np.ndarray, size_a: int, size_b: int) -> np.ndarray:
+    """Nonzero co-occurrence cells of two code columns, row-major."""
+    table = np.bincount(col_a * size_b + col_b, minlength=size_a * size_b)
+    cells = np.flatnonzero(table)
+    return _cells(cells, table[cells], size_b)
 
 
 def fit(
@@ -296,7 +326,10 @@ def fit(
     skip_unk_evidence: bool = False,
     with_prior: bool = False,
 ) -> SmoothedModel:
-    """Count marginals and pairwise co-occurrences over encode_corpus's (n x A) codes."""
+    """Count marginals and pairwise co-occurrences over encode_corpus's (n x A) codes.
+
+    Each pair is counted on its own and only its nonzero cells are kept.
+    """
     if len(codes) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
     if alpha <= 0:
@@ -306,15 +339,10 @@ def fit(
     attrs = vocab.attributes
     columns = dict(zip(attrs, np.ascontiguousarray(codes.T)))
     marginals = {a: np.bincount(columns[a], minlength=vocab.size(a)) for a in attrs}
-    pair_counts: dict[tuple[str, str], np.ndarray] = {}
-    for i, a in enumerate(attrs):
-        size_a = vocab.size(a)
-        for b in attrs[i + 1 :]:
-            size_b = vocab.size(b)
-            flat = columns[a] * size_b + columns[b]
-            pair_counts[(a, b)] = np.bincount(flat, minlength=size_a * size_b).reshape(
-                size_a, size_b
-            )
+    pair_counts = {
+        (a, b): _count_cells(columns[a], columns[b], vocab.size(a), vocab.size(b))
+        for a, b in itertools.combinations(attrs, 2)
+    }
     counts = CountTable(
         marginal_counts=marginals, pair_counts=pair_counts, num_samples=len(codes)
     )
@@ -373,11 +401,18 @@ def posterior_log_scores(model: SmoothedModel, codes: np.ndarray, target: str) -
         if attr == target:
             continue
         column = codes[:, k]
-        numerators = model.counts.pair(attr, target)[column].astype(np.float64) + model.alpha
-        denominators = (
-            model.counts.marginal(attr)[column].astype(np.float64) + model.alpha * mass
-        )
+        pair, marginal = model.counts.pair(attr, target), model.counts.marginal(attr)
+        # The logs are taken over the smaller of the gathered rows and the whole
+        # table, whose rows are gathered after. Each element is the same float
+        # operation on the same count either way.
+        gather_first = len(codes) < len(marginal)
+        if gather_first:
+            pair, marginal = pair[column], marginal[column]
+        numerators = pair.astype(np.float64) + model.alpha
+        denominators = marginal.astype(np.float64) + model.alpha * mass
         terms = np.log(numerators) - np.log(denominators)[:, None]
+        if not gather_first:
+            terms = terms[column]
         if model.skip_unk_evidence:
             np.add(log_scores, terms, out=log_scores, where=(column != 0)[:, None])
         else:

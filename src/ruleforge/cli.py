@@ -32,11 +32,16 @@ from .abduction import (
     build_candidate_graph,
     enumerate_rules,
     materialize_snort_rules,
+    seed_posteriors,
+    select_candidates,
 )
+# predict_distribution is not called here; perfbench/tracing.py wraps it under
+# this module's name
 from .bayes import SMOOTHING_MODES, SmoothedModel, fit, predict_distribution
 from .clustering import DistanceParams, LINKAGES, agglomerate, build_distance_matrix
 from .encoding import (
     ExclusionList,
+    UnknownAttribute,
     build_vocabulary,
     encode_corpus,
 )
@@ -476,15 +481,18 @@ def _cmd_train(args) -> int:
 
 def _cmd_abduce(args) -> int:
     model, seed = _load_seed(args)
-    candidates = abduce_antecedents(
-        model, seed, _strategy(args), allow_insertion=args.allow_insertion
-    )
-    targets = [args.target] if args.target else list(model.vocab.attributes)
+    vocab = model.vocab
+    if args.target and args.target not in vocab.values:
+        raise UnknownAttribute(f"attribute {args.target!r} not in vocabulary")
+    posteriors = seed_posteriors(model, seed, allow_insertion=args.allow_insertion)
+    candidates = select_candidates(vocab, seed, _strategy(args), posteriors)
+    targets = [args.target] if args.target else vocab.attributes
     lines: list[str] = []
     for attribute in targets:
-        distribution = predict_distribution(model, seed.encoded, attribute)
-        wanted = set(candidates.get(attribute, ()))
-        for value, probability in distribution.ranked():
+        wanted = set(candidates[attribute])
+        if not wanted:
+            continue
+        for value, probability in posteriors[attribute].ranked():
             if value in wanted:
                 lines.append(f"{attribute}\t{value}\t{probability:.6f}")
     _write_output(args, "".join(line + "\n" for line in lines))

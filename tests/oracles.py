@@ -5,8 +5,9 @@ matrices, and brute-force cluster merging. None of it shares code with the
 package beyond the UNK sentinel string, so agreement is meaningful. The
 exceptions are the package's own earlier implementations, kept as references
 for the faster code that replaced them: posterior_loop scores a fitted model
-one record at a time, model_json writes a model file through json.dumps, and
-split_options splits a rule body one character at a time.
+one record at a time, dense_pair_counts counts every cell of every pair table,
+model_json writes a model file through json.dumps, and split_options splits a
+rule body one character at a time.
 """
 
 from __future__ import annotations
@@ -147,18 +148,45 @@ def posterior_loop(model, observation: dict[str, int], target: str):
 
 
 # ---------------------------------------------------------------------------
+# dense pairwise counts, the count-exact reference
+
+
+def dense_pair_counts(codes: np.ndarray, vocab) -> dict[tuple[str, str], np.ndarray]:
+    """One dense (|V_a| x |V_b|) co-occurrence table per attribute pair a < b.
+
+    The counting fit did before it kept only the nonzero cells: one bincount
+    over every cell of every table.
+    """
+    attrs = vocab.attributes
+    columns = dict(zip(attrs, np.ascontiguousarray(codes.T)))
+    tables = {}
+    for i, a in enumerate(attrs):
+        size_a = vocab.size(a)
+        for b in attrs[i + 1 :]:
+            size_b = vocab.size(b)
+            flat = columns[a] * size_b + columns[b]
+            tables[(a, b)] = np.bincount(flat, minlength=size_a * size_b).reshape(
+                size_a, size_b
+            )
+    return tables
+
+
+# ---------------------------------------------------------------------------
 # model file text through json.dumps, the byte-exact reference
 
 
 def model_json(model) -> str:
     """The model file that SmoothedModel.to_json wrote through json.dumps."""
     pairs: dict[str, dict[str, list[list[int]]]] = {}
-    for (a, b), table in model.counts.pair_counts.items():
-        rows, cols = np.nonzero(table)
-        triplets = [
-            [int(r), int(c), int(table[r, c])] for r, c in zip(rows, cols)
-        ]
-        pairs.setdefault(a, {})[b] = triplets
+    attributes = model.vocab.attributes
+    for i, a in enumerate(attributes):
+        for b in attributes[i + 1 :]:
+            table = model.counts.pair(a, b)
+            rows, cols = np.nonzero(table)
+            triplets = [
+                [int(r), int(c), int(table[r, c])] for r, c in zip(rows, cols)
+            ]
+            pairs.setdefault(a, {})[b] = triplets
     payload = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,

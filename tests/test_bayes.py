@@ -1,10 +1,20 @@
 """Smoothed pairwise-conditional model against independent recomputation."""
 
+import itertools
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import oracles
-from conftest import MODEL_CONFIGS, SMALL_DICT_CORPORA, encode_dicts, vocabulary_from_dicts
+from conftest import (
+    MODEL_CONFIGS,
+    SMALL_DICT_CORPORA,
+    encode_dicts,
+    random_dict_corpus,
+    vocabulary_from_dicts,
+)
 from ruleforge import (
     UNK,
     EmptyDataset,
@@ -355,6 +365,41 @@ class TestPersistence:
         with pytest.raises(RuleforgeError):
             SmoothedModel.load(str(path))
 
+    def test_non_canonical_cells_load_as_their_canonical_form(self, ten_rule_corpus, tmp_path):
+        """Repeated, zero-count and out-of-order cells load as the canonical file does."""
+        model, vocab = fit_dicts(ten_rule_corpus)
+        canonical = model.to_json()
+        payload = json.loads(canonical)
+        split = 0
+        for a, row in payload["pairs"].items():
+            for b, cells in row.items():
+                occupied = {(r, c) for r, c, _ in cells}
+                cells.reverse()
+                r, c, count = cells[0]
+                if count >= 2:  # one cell written as two
+                    cells[0][2] = 1
+                    cells.append([r, c, count - 1])
+                    split += 1
+                cells.insert(1, [r, c, 0])
+                empty = itertools.product(range(vocab.size(a)), range(vocab.size(b)))
+                free = next((cell for cell in empty if cell not in occupied), None)
+                if free is not None:
+                    cells.insert(0, [*free, 0])
+        assert split > 0
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
+        assert path.read_text(encoding="utf-8") != canonical
+        loaded = SmoothedModel.load(str(path))
+        assert loaded.to_json() == canonical
+        for pair, cells in model.counts.pair_counts.items():
+            assert np.array_equal(loaded.counts.pair_counts[pair], cells)
+        codes = encode_dicts(ten_rule_corpus, vocab)
+        for target in vocab.attributes:
+            assert (
+                posterior_log_scores(loaded, codes, target).tobytes()
+                == posterior_log_scores(model, codes, target).tobytes()
+            )
+
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}')
@@ -411,3 +456,23 @@ class TestModelFileBytes:
             with_prior=with_prior,
         )
         self.assert_same_bytes(model, tmp_path)
+
+
+def test_fit_keeps_no_dense_pair_tables():
+    """A wide vocabulary: fit's peak stays well below the dense tables' total size."""
+    corpus = random_dict_corpus(5, n_rules=1000, n_attrs=8, n_values=250)
+    vocab = vocabulary_from_dicts(corpus)
+    codes = encode_dicts(corpus, vocab)
+    assert vocab.one_hot_width() > 1500
+    dense_bytes = sum(
+        8 * vocab.size(a) * vocab.size(b) for a, b in itertools.combinations(vocab.attributes, 2)
+    )
+    tracemalloc.start()
+    try:
+        model = fit(codes, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dense_bytes / 4
+    for (a, b), table in oracles.dense_pair_counts(codes, vocab).items():
+        assert np.array_equal(model.counts.pair(a, b), table)

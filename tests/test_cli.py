@@ -167,6 +167,11 @@ class TestAbduce:
         )
         assert code == 2
 
+    def test_unknown_target(self, capsys, table2_file, trained_model):
+        argv = ["abduce", "--model", trained_model, "--rules", table2_file, "--seed-sid", "13162"]
+        assert run([*argv, "--target", "nope"]) == 2
+        assert "attribute 'nope' not in vocabulary" in capsys.readouterr().err
+
     def test_tampered_model_rejected(self, tmp_path, table2_file, trained_model):
         text = (tmp_path / "model.json").read_text(encoding="utf-8")
         tampered = tmp_path / "tampered.json"

@@ -1,4 +1,4 @@
-"""Property tests for the posterior, the enumeration and materialized rules.
+"""Property tests for the counts, the posterior, the enumeration and materialized rules.
 
 Hypothesis runs derandomized, so every run draws the same examples. A corpus
 is a list of dict rows that conftest.encode_dicts turns into the code matrix
@@ -9,6 +9,7 @@ are that row, so any row can be the seed of an enumeration.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import MODEL_CONFIGS, encode_dicts, vocabulary_from_dicts
 from ruleforge import (
     SeedObservation,
@@ -23,6 +24,7 @@ from ruleforge import (
     predict_distribution,
 )
 from ruleforge.abduction import DEFAULT_SID_BASE
+from ruleforge.bayes import posterior_log_scores
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=100)
 
@@ -69,6 +71,37 @@ def generate(corpus, seed_index, strategy, allow_insertion, limit):
     candidates = abduce_antecedents(model, seed, strategy, allow_insertion=allow_insertion)
     graph = build_candidate_graph(seed, candidates, vocab)
     return graph, enumerate_rules(graph, seed, limit=limit)
+
+
+@DETERMINISTIC
+@given(corpus=CORPUS)
+def test_pair_tables_equal_the_dense_counts(corpus):
+    vocab = vocabulary_from_dicts(corpus)
+    codes = encode_dicts(corpus, vocab)
+    counts = fit(codes, vocab).counts
+    dense = oracles.dense_pair_counts(codes, vocab)
+    assert set(counts.pair_counts) == set(dense)
+    for (a, b), table in dense.items():
+        forward, backward = counts.pair(a, b), counts.pair(b, a)
+        assert forward.dtype == backward.dtype == table.dtype
+        assert forward.tolist() == table.tolist()
+        assert backward.tolist() == table.T.tolist()
+
+
+@settings(DETERMINISTIC, max_examples=50)
+@given(corpus=CORPUS, unseen=st.lists(ROW, max_size=3), config=st.sampled_from(MODEL_CONFIGS))
+def test_posterior_scores_equal_the_per_record_loop(corpus, unseen, config):
+    vocab = vocabulary_from_dicts(corpus)
+    alpha, kwargs = config
+    model = fit(encode_dicts(corpus, vocab), vocab, alpha, **kwargs)
+    observations = encode_dicts(corpus + unseen, vocab)
+    for target in vocab.attributes:
+        batched = posterior_log_scores(model, observations, target)
+        for record, row in zip(observations, batched):
+            want, _ = oracles.posterior_loop(
+                model, dict(zip(vocab.attributes, record.tolist())), target
+            )
+            assert row.tobytes() == want.tobytes()
 
 
 @settings(DETERMINISTIC, max_examples=50)
