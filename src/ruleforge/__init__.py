@@ -25,6 +25,7 @@ from .parser import (
     RuleHeader,
     RuleOption,
     UnterminatedOption,
+    find_rule,
     parse_rule,
     parse_ruleset,
     serialize_rule,
@@ -109,6 +110,7 @@ __all__ = [
     "RuleHeader",
     "RuleOption",
     "UnterminatedOption",
+    "find_rule",
     "parse_rule",
     "parse_ruleset",
     "serialize_rule",

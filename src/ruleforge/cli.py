@@ -47,7 +47,14 @@ from .encoding import (
 )
 from .errors import RuleforgeError
 from .evaluation import SplitSpec, loco_evaluate, threshold_sweep
-from .parser import IDENTITY_KEYS, ParsedRule, parse_ruleset, serialize_rule
+from .parser import (
+    IDENTITY_KEYS,
+    ParseError,
+    ParsedRule,
+    find_rule,
+    parse_ruleset,
+    serialize_rule,
+)
 
 LOG = logging.getLogger("ruleforge")
 
@@ -137,6 +144,8 @@ def load_config(path: str) -> dict:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"cannot read config file {path}: {exc}") from None
     fields = _config_fields()
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -399,11 +408,21 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_rules(path: str) -> tuple[list[ParsedRule], list]:
-    text = Path(path).read_text(encoding="utf-8")
-    rules, errors = parse_ruleset(text)
+def _read_rules_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise RuleforgeError(f"{path}: {exc}") from None
+
+
+def _warn(path: str, errors: list[ParseError]) -> None:
     for err in errors:
         LOG.warning("%s:%d: %s", path, err.line, err.message)
+
+
+def _read_rules(path: str) -> tuple[list[ParsedRule], list[ParseError]]:
+    rules, errors = parse_ruleset(_read_rules_text(path))
+    _warn(path, errors)
     return rules, errors
 
 
@@ -415,13 +434,17 @@ def _exclusions(args, drop_constant: bool) -> ExclusionList:
 
 
 def _load_seed(args) -> tuple[SmoothedModel, SeedObservation]:
-    """The --model file and the observation of the --rules rule with --seed-sid."""
+    """The --model file and the observation of the --rules rule with --seed-sid.
+
+    Only the lines that may hold the sid are parsed, and only their errors
+    are logged; `parse --lint` reports the rest of the file.
+    """
     model = SmoothedModel.load(args.model)
-    rules, _ = _read_rules(args.rules)
-    for rule in rules:
-        if rule.sid == args.seed_sid:
-            return model, SeedObservation.from_rule(rule, model.vocab)
-    raise RuleforgeError(f"{args.rules}: no rule with sid {args.seed_sid}")
+    rule, errors = find_rule(_read_rules_text(args.rules), args.seed_sid)
+    _warn(args.rules, errors)
+    if rule is None:
+        raise RuleforgeError(f"{args.rules}: no rule with sid {args.seed_sid}")
+    return model, SeedObservation.from_rule(rule, model.vocab)
 
 
 def _strategy(args) -> Strategy:

@@ -15,6 +15,12 @@ The body is split into options by one compiled regex, matched once per option,
 rather than by a Python loop over its characters. It finds the same segments
 and offsets, and raises at the same offset, so the rule syntax accepted and
 the rules produced are unchanged.
+
+:func:`parse_ruleset` parses every line of a rules file. :func:`find_rule`
+looks up one rule by sid, as the seed commands do: it runs ``parse_rule`` only
+on the lines where a sid segment could carry that sid, found by one regex
+that never misses such a line, and returns the same rule the first match over
+``parse_ruleset`` would.
 """
 
 from __future__ import annotations
@@ -352,6 +358,12 @@ def _logical_lines(text: str):
         yield start_line, " ".join(part for part in buffer if part)
 
 
+def _parse_error(line_no: int, logical: str, exc: RuleforgeError) -> ParseError:
+    return ParseError(
+        line=line_no, offset=getattr(exc, "offset", 0), message=str(exc), text=logical
+    )
+
+
 def parse_ruleset(text: str) -> tuple[list[ParsedRule], list[ParseError]]:
     """Parse a whole rules file.
 
@@ -366,12 +378,49 @@ def parse_ruleset(text: str) -> tuple[list[ParsedRule], list[ParseError]]:
         try:
             rules.append(parse_rule(logical))
         except RuleforgeError as exc:
-            errors.append(
-                ParseError(
-                    line=line_no,
-                    offset=getattr(exc, "offset", 0),
-                    message=str(exc),
-                    text=logical,
-                )
-            )
+            errors.append(_parse_error(line_no, logical, exc))
     return rules, errors
+
+
+# The value of every sid segment parse_rule can read. A segment starts right
+# after the body's '(' or after a separating ';'. Its key is 'sid' in any mix
+# of case, with blanks around it, before the first ':'. Its value passes
+# int(), so it holds no ';', '"', '\', '(' or ')', and therefore runs from the
+# ':' to the ';' that ends the segment or to the body's closing ')': exactly
+# what the capture takes. int() also accepts forms such as '+7', '007', '7_0'
+# and non-ASCII digits, so the capture is compared through int() as well. A
+# match inside a quoted value, or on a line that fails to parse, is a false
+# positive: it costs one parse_rule and nothing else.
+_SID_VALUE = re.compile(r"""[(;]\s*sid\s*:([^;()"\\]*)""", re.IGNORECASE)
+
+
+def _may_hold_sid(logical: str, sid: int) -> bool:
+    for match in _SID_VALUE.finditer(logical):
+        try:
+            if int(match.group(1).strip()) == sid:
+                return True
+        except ValueError:
+            continue
+    return False
+
+
+def find_rule(text: str, sid: int) -> tuple[ParsedRule | None, list[ParseError]]:
+    """The first rule of a rules file whose sid is ``sid``, parsing only what may hold it.
+
+    Returns the rule that the first ``r.sid == sid`` over ``parse_ruleset(text)``
+    gives (None when there is none), and the errors of the lines that mention
+    the sid but failed to parse before it. The other lines are never parsed,
+    so their errors are not reported.
+    """
+    errors: list[ParseError] = []
+    for line_no, logical in _logical_lines(text):
+        if not _may_hold_sid(logical, sid):
+            continue
+        try:
+            rule = parse_rule(logical)
+        except RuleforgeError as exc:
+            errors.append(_parse_error(line_no, logical, exc))
+            continue
+        if rule.sid == sid:
+            return rule, errors
+    return None, errors

@@ -6,8 +6,9 @@ package beyond the UNK sentinel string, so agreement is meaningful. The
 exceptions are the package's own earlier implementations, kept as references
 for the faster code that replaced them: posterior_loop scores a fitted model
 one record at a time, dense_pair_counts counts every cell of every pair table,
-model_json writes a model file through json.dumps, and split_options splits a
-rule body one character at a time.
+model_json writes a model file through json.dumps, split_options splits a
+rule body one character at a time, and find_rule looks a sid up by parsing
+the whole file.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import numpy as np
 
 from ruleforge.bayes import MODEL_FORMAT, MODEL_VERSION
-from ruleforge.parser import UnterminatedOption
+from ruleforge.parser import ParsedRule, UnterminatedOption, parse_ruleset
 
 UNK = "UNK"
 
@@ -249,6 +250,12 @@ def split_options(body: str, base_offset: int) -> list[tuple[str, int]]:
     if tail.strip():
         segments.append((tail, base_offset + seg_start))
     return segments
+
+
+def find_rule(text: str, sid: int) -> ParsedRule | None:
+    """The first rule of the whole parsed file whose sid is sid."""
+    rules, _ = parse_ruleset(text)
+    return next((rule for rule in rules if rule.sid == sid), None)
 
 
 # ---------------------------------------------------------------------------

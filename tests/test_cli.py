@@ -606,6 +606,95 @@ class TestRequiredFromConfig:
         assert "usage error: the following arguments are required: --rules" in err
 
 
+class TestSeedLookup:
+    """abduce, generate and sweep parse only the lines that may hold --seed-sid."""
+
+    @pytest.mark.parametrize("command", ["abduce", "generate", "sweep"])
+    def test_never_parses_the_whole_file(
+        self, monkeypatch, capsys, table2_file, trained_model, command
+    ):
+        def refuse(text):
+            raise AssertionError("parse_ruleset called")
+
+        monkeypatch.setattr("ruleforge.cli.parse_ruleset", refuse)
+        argv = [command, "--model", trained_model, "--rules", table2_file, "--seed-sid", "13162"]
+        assert run(argv) == 0
+        assert capsys.readouterr().out
+
+    def test_malformed_seed_line_is_reported(self, tmp_path, caplog, trained_model):
+        rules = tmp_path / "seed.rules"
+        rules.write_text(
+            "# sid:99 in a comment\n"
+            + TABLE2_TEXTS[0]
+            + "\nalert tcp any any => any 445 (sid:99;)\n"
+            + "alert tcp any any => any 445 (sid:98;)\n",
+            encoding="utf-8",
+        )
+        argv = ["generate", "--model", trained_model, "--rules", str(rules), "--seed-sid", "99"]
+        assert run(argv) == 2
+        assert [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "ruleforge"] == [
+            ("WARNING", f"{rules}:3: invalid direction token '=>' (byte offset 18)"),
+            ("ERROR", f"{rules}: no rule with sid 99"),
+        ]  # line 4 does not hold the seed sid, so it is not parsed
+
+    def test_first_well_formed_duplicate_is_the_seed(
+        self, tmp_path, capsys, caplog, table2_file, trained_model
+    ):
+        first = TABLE2_TEXTS[0].replace("sid:13162;", "sid:555;")
+        second = TABLE2_TEXTS[1].replace("sid:13163;", "sid:555;")
+        rules = tmp_path / "duplicates.rules"
+        rules.write_text(
+            "\n".join([second.replace("->", "=>"), second, first]) + "\n", encoding="utf-8"
+        )
+        argv = ["abduce", "--model", trained_model, "--seed-sid"]
+        assert run([*argv, "555", "--rules", str(rules)]) == 0
+        found = capsys.readouterr().out
+        assert f"{rules}:1: invalid direction token '=>'" in caplog.text
+        assert run([*argv, "13163", "--rules", table2_file]) == 0
+        from_second = capsys.readouterr().out
+        assert run([*argv, "13162", "--rules", table2_file]) == 0
+        assert found == from_second != capsys.readouterr().out
+
+
+class TestNonUtf8Input:
+    COMMANDS = ["parse", "train", "cluster", "evaluate", "generate", "abduce", "sweep"]
+
+    def _argv(self, tmp_path, command, trained_model):
+        if command == "train":
+            return [command, "--out", str(tmp_path / "other.json")]
+        if command in ("abduce", "generate", "sweep"):
+            return [command, "--model", trained_model, "--seed-sid", "13162"]
+        return [command]
+
+    @pytest.mark.parametrize("form", ["argv", "config"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_rules_file_is_a_data_error(self, tmp_path, caplog, trained_model, command, form):
+        bad = tmp_path / "latin1.rules"
+        bad.write_bytes(TABLE2_TEXTS[0].encode("utf-8") + b"\n# caf\xe9 \xff\n")
+        argv = self._argv(tmp_path, command, trained_model)
+        if form == "argv":
+            argv += ["--rules", str(bad)]
+        else:
+            config = tmp_path / "forge.conf"
+            config.write_text(f"rules = {bad}\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert run(argv) == 2
+        [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert record.name == "ruleforge"
+        assert record.getMessage().startswith(f"{bad}: 'utf-8' codec can't decode byte 0xe9")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_file_is_a_usage_error(
+        self, tmp_path, capsys, table2_file, trained_model, command
+    ):
+        config = tmp_path / "forge.conf"
+        config.write_bytes(b"threshold = 0.5\ncategory = caf\xe9\n")
+        argv = self._argv(tmp_path, command, trained_model)
+        assert run([*argv, "--rules", table2_file, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert f"usage error: cannot read config file {config}: 'utf-8' codec" in err
+
+
 class TestExitCodes:
     def test_unknown_subcommand(self, capsys):
         assert run(["frobnicate"]) == 1
@@ -642,3 +731,15 @@ class TestConsoleScript:
         )
         assert result.returncode == 0
         assert "parsed 12 rules, 0 errors" in result.stdout
+
+    def test_non_utf8_rules_file_exits_2_without_a_traceback(self, tmp_path):
+        bad = tmp_path / "latin1.rules"
+        bad.write_bytes(b"# caf\xe9\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "ruleforge.cli", "parse", "--rules", str(bad)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith(f"ERROR ruleforge {bad}: 'utf-8' codec can't decode")
+        assert "Traceback" not in result.stderr

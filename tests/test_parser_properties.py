@@ -4,6 +4,7 @@ Hypothesis runs derandomized, so every run draws the same examples.
 """
 
 import itertools
+import sys
 import time
 
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ruleforge import RuleforgeError, parse_rule, parse_ruleset, serialize_rule
-from ruleforge.parser import UnterminatedOption, _split_options
+from ruleforge import RuleforgeError, find_rule, parse_rule, parse_ruleset, serialize_rule
+from ruleforge.parser import UnterminatedOption, _may_hold_sid, _split_options
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=500)
 
@@ -47,6 +48,36 @@ RULE_LINE = st.one_of(
 )
 RULES_TEXT = st.lists(RULE_LINE, max_size=6).map("\n".join)
 
+# Rules files that probe find_rule's line filter. Sid segments come in the
+# forms int() accepts (zero-padded, signed, with '_', in Arabic-Indic digits,
+# upper case, blank-padded, last with no ';'), and sid text also stands where
+# no sid segment is: in quoted values, after an escaped ';', in comments.
+# Lines may carry two sid segments, fail to parse, repeat a sid, or be split
+# over a continuation line at any character.
+SID_SEGMENT = st.sampled_from(
+    ["sid:7", "SID : 0007", "sid:+7", "sid:\u0667", "sId:\t 7 ", "sid:7_0", "sid:\u0667\u0660",
+     "sid:70", "sid:8", "sid:x7", "sid:"]
+)
+OTHER_SEGMENT = st.sampled_from(
+    ['msg:"sid:7"', 'content:"a;sid:70;"', 'msg:"(sid:7)"', "flow:a\\;sid:7", "rev:1",
+     "nocase", "rev:x", 'msg:"unclosed']
+)
+SEED_LINE = st.builds(
+    lambda header, segments, end: f"{header} ({'; '.join(segments)}{end})",
+    st.sampled_from(
+        ["alert tcp any any -> any any", "drop udp $H 53 <> any [1, 2]", "alert tcp any => any any"]
+    ),
+    st.lists(st.one_of(OTHER_SEGMENT, SID_SEGMENT), min_size=1, max_size=4),
+    st.sampled_from([";", ""]),
+)
+SPLIT_LINE = st.builds(
+    lambda line, at: line[:at] + "\\\n" + line[at:], SEED_LINE, st.integers(0, 80)
+)
+COMMENT = st.sampled_from(["# alert tcp any any -> any any (sid:7;)", "  #sid:70", ""])
+SEED_TEXT = st.lists(
+    st.one_of(SEED_LINE, SPLIT_LINE, COMMENT, RULE_LINE), min_size=1, max_size=8
+).map("\n".join)
+
 
 def split_outcome(split, body, base):
     try:
@@ -68,6 +99,32 @@ def test_split_options_matches_the_character_loop(body, base):
 def test_parse_ruleset_never_raises(text):
     rules, errors = parse_ruleset(text)
     assert all(error.line >= 1 for error in errors)
+
+
+@DETERMINISTIC
+@given(text=SEED_TEXT, sid=st.sampled_from([7, 70, 8]))
+@example(text="alert tcp any any -> any any (sid:\\\n 7)", sid=7)
+@example(text="alert ip a b -> c d (sid:7; SID:8)\nalert ip any any -> any any (sid:7)", sid=7)
+def test_find_rule_agrees_with_the_whole_file_parse(text, sid):
+    rule, errors = find_rule(text, sid)
+    expected = oracles.find_rule(text, sid)
+    assert rule == expected
+    assert (rule and rule.raw_text) == (expected and expected.raw_text)
+    # the errors reported are some of the file's, in file order
+    assert errors == [error for error in parse_ruleset(text)[1] if error in errors]
+
+
+def test_sid_line_filter_reads_case_and_blanks_as_parse_rule_does():
+    """parse_rule lowers a key and strips blanks with str methods; every
+    character those methods turn into a letter of 'sid', or strip, must pass
+    the filter in that place."""
+    for char in map(chr, range(sys.maxunicode + 1)):
+        lowered = char.lower()
+        if lowered in ("s", "i", "d", "si", "id", "sid"):
+            assert len(lowered) == 1
+            assert _may_hold_sid("(" + "sid".replace(lowered, char) + ":7)", 7)
+        if char.isspace():
+            assert _may_hold_sid(f"x ;{char}sid{char}:{char}7{char})", 7)
 
 
 @DETERMINISTIC
