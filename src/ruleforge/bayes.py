@@ -17,17 +17,18 @@ one target: per evidence attribute it gathers the pair-table rows of all m
 records at once. predict_distribution is its one-row call, and
 predict_mle_rows takes the most likely value of every row.
 
-The pairwise counts are stored sparse: per attribute pair, only the nonzero
-cells, as an (nnz x 3) array of [row, col, count] in row-major order. Those
-are the model file's own triplet lists, and on a wide corpus they are a few
-percent of the dense (|V_a| x |V_b|) cells. CountTable.pair builds one dense
-table from them when a caller asks, so at most one is alive at a time.
+The model is its sufficient statistics: the sorted distinct rows of the
+(n x A) code matrix, each with its multiplicity. Every marginal and pairwise
+count is a sum over those rows (Moore & Lee, "Cached Sufficient Statistics
+for Efficient Machine Learning with Large Datasets", JAIR 8, 1998), so the
+two arrays are what a model file stores, and fit and load both derive the
+counts from them with _count. The pairwise counts are kept sparse: per
+attribute pair, only the nonzero cells, as an (nnz x 3) array of
+[row, col, count] in row-major order. CountTable.pair builds one dense table
+from them when a caller asks, so at most one is alive at a time.
 
-A model file is the JSON text json.dumps(payload, sort_keys=True, indent=1)
-gives. SmoothedModel.to_json writes those bytes itself, because an indent
-makes CPython's json fall back to its pure-Python encoder, which visits every
-count of every pair cell one by one. The format is unchanged: files written
-before and after are byte-identical, and load reads them with json.load.
+A model file is the compact JSON text json.dumps(payload, sort_keys=True)
+gives, plus a newline.
 """
 
 from __future__ import annotations
@@ -35,9 +36,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from json.encoder import encode_basestring_ascii
-from typing import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +44,13 @@ from .encoding import UNK, AttributeVocabulary, UnknownAttribute
 from .errors import RuleforgeError
 
 MODEL_FORMAT = "ruleforge-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 SMOOTHING_MODES = ("corpus", "conventional")
+
+# Every count is a bincount weighted by the multiplicities. Its float64 partial
+# sums are integers no larger than num_samples, so below 2**53 they are exact.
+_EXACT_COUNTS = 2**53
 
 
 class EmptyDataset(RuleforgeError):
@@ -56,10 +59,13 @@ class EmptyDataset(RuleforgeError):
 
 @dataclass
 class CountTable:
-    """Marginal and pairwise co-occurrence counts.
+    """Marginal and pairwise co-occurrence counts, and the rows they count.
 
-    pair_counts holds, per unordered attribute pair (a < b), the nonzero cells
-    of the (|V_a| x |V_b|) co-occurrence table as an (nnz x 3) int64 array of
+    rows holds the sorted distinct rows of the (n x A) code matrix and
+    multiplicities how often each occurs; the model file stores those two,
+    and the counts are recounted from them (see _count). pair_counts holds,
+    per unordered attribute pair (a < b), the nonzero cells of the
+    (|V_a| x |V_b|) co-occurrence table as an (nnz x 3) int64 array of
     [row, col, count], row-major with no cell repeated. pair() builds the
     dense table in either direction. Row sums of each pair table reproduce the
     first attribute's marginals, and every marginal sums to num_samples.
@@ -68,6 +74,8 @@ class CountTable:
     marginal_counts: dict[str, np.ndarray]
     pair_counts: dict[tuple[str, str], np.ndarray]
     num_samples: int
+    rows: np.ndarray
+    multiplicities: np.ndarray
 
     def pair(self, attr_a: str, attr_b: str) -> np.ndarray:
         """Co-occurrence matrix indexed [value of attr_a, value of attr_b].
@@ -136,18 +144,8 @@ class SmoothedModel:
             handle.write(self.to_json())
 
     def to_json(self) -> str:
-        """The model file's text: sorted keys, one-space indent, one value a line.
-
-        The bytes json.dumps(payload, sort_keys=True, indent=1) would give:
-        strings escaped by json's own encode_basestring_ascii, scalars by
-        json.dumps, each integer list one str.join and each pair's stored
-        [row, col, count] cells one more.
-        """
-        attrs = self.vocab.attributes
-        pairs: dict[str, dict[str, np.ndarray]] = {}
-        for (a, b), cells in self.counts.pair_counts.items():
-            pairs.setdefault(a, {})[b] = cells
-        scalars = {
+        """The model file's text: compact JSON with sorted keys, then a newline."""
+        payload = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
             "alpha": self.alpha,
@@ -156,23 +154,11 @@ class SmoothedModel:
             "with_prior": self.with_prior,
             "num_samples": self.counts.num_samples,
             "vocab_sha256": self.vocab.sha256(),
+            "vocabulary": self.vocab.values,
+            "rows": self.counts.rows.tolist(),
+            "multiplicities": self.counts.multiplicities.tolist(),
         }
-        fields = {key: json.dumps(value) for key, value in scalars.items()}
-        values, marginals = self.vocab.values, self.counts.marginal_counts
-        fields["vocabulary"] = _json_object(
-            {a: _json_block(map(encode_basestring_ascii, values[a]), 3, "[]") for a in attrs}, 2
-        )
-        fields["marginals"] = _json_object(
-            {a: _json_block(map(str, marginals[a].tolist()), 3, "[]") for a in attrs}, 2
-        )
-        fields["pairs"] = _json_object(
-            {
-                a: _json_object({b: _json_cells(cells, 4) for b, cells in row.items()}, 3)
-                for a, row in pairs.items()
-            },
-            2,
-        )
-        return _json_object(fields, 1) + "\n"
+        return json.dumps(payload, sort_keys=True) + "\n"
 
     @classmethod
     def load(cls, path: str) -> "SmoothedModel":
@@ -199,8 +185,8 @@ class SmoothedModel:
         if smoothing not in SMOOTHING_MODES:
             raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
         num_samples = int(payload["num_samples"])
-        if num_samples < 1:
-            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
+        if not 1 <= num_samples < _EXACT_COUNTS:
+            raise ValueError(f"num_samples must be >= 1 and < 2**53, got {num_samples}")
         vocab = AttributeVocabulary(
             attributes=tuple(sorted(payload["vocabulary"])),
             values={a: tuple(v) for a, v in payload["vocabulary"].items()},
@@ -210,23 +196,20 @@ class SmoothedModel:
         for a, values in vocab.values.items():
             if not _is_value_list(values):
                 raise ValueError(f"values of {a!r} are not UNK then strictly increasing strings")
-        marginals = {}
-        for a in vocab.attributes:
-            counts = np.asarray(payload["marginals"][a], dtype=np.int64)
-            if counts.shape != (vocab.size(a),) or (counts < 0).any():
-                raise ValueError(f"bad marginal counts for {a!r}")
-            if sum(counts.tolist()) != num_samples:
-                raise ValueError(f"marginal counts for {a!r} do not sum to num_samples")
-            marginals[a] = counts
-        pair_counts: dict[tuple[str, str], np.ndarray] = {}
-        for a, row in payload["pairs"].items():
-            for b, triplets in row.items():
-                pair_counts[(a, b)] = _pair_cells(triplets, marginals[a], marginals[b])
-        counts = CountTable(
-            marginal_counts=marginals,
-            pair_counts=pair_counts,
-            num_samples=num_samples,
-        )
+        rows, multiplicities = payload["rows"], payload["multiplicities"]
+        if not (type(rows) is type(multiplicities) is list and len(rows) == len(multiplicities)):
+            raise ValueError("rows and multiplicities must be lists of the same length")
+        width = len(vocab.attributes)
+        if any(type(row) is not list or len(row) != width for row in rows):
+            raise ValueError(f"every row must be a list of {width} codes")
+        codes = _int_array(itertools.chain.from_iterable(rows)).reshape(len(rows), width)
+        sizes = np.array([vocab.size(a) for a in vocab.attributes], dtype=np.int64)
+        if ((codes < 0) | (codes >= sizes)).any():
+            raise ValueError("a code is outside its attribute's values")
+        weights = _int_array(multiplicities)
+        if (weights < 1).any() or sum(multiplicities) != num_samples:
+            raise ValueError("multiplicities must be >= 1 and sum to num_samples")
+        counts = _count(codes, weights, vocab)
         return cls(
             counts=counts,
             alpha=alpha,
@@ -248,73 +231,61 @@ def _is_value_list(values: tuple) -> bool:
     )
 
 
-def _json_block(items: Iterable[str], depth: int, brackets: str) -> str:
-    """Rendered items, one a line `depth` spaces in, as json.dumps(indent=1) lays them out."""
-    pad = "\n" + " " * depth
-    body = ("," + pad).join(items)
-    if not body:
-        return brackets
-    return f"{brackets[0]}{pad}{body}\n{' ' * (depth - 1)}{brackets[1]}"
+def _int_array(items) -> np.ndarray:
+    """An int64 array of JSON integers; a float, a boolean or a string is an error."""
+    items = list(items)
+    if not set(map(type, items)) <= {int}:
+        raise ValueError("rows and multiplicities must hold integers only")
+    return np.array(items, dtype=np.int64)
 
 
-def _json_object(members: dict[str, str], depth: int) -> str:
-    """An object of rendered member values, keys sorted."""
-    keyed = (f"{encode_basestring_ascii(key)}: {members[key]}" for key in sorted(members))
-    return _json_block(keyed, depth, "{}")
-
-
-def _json_cells(cells: np.ndarray, depth: int) -> str:
-    """The stored [row, col, count] cells as JSON arrays, in their order."""
-    inner, outer = "\n" + " " * (depth + 1), "\n" + " " * depth
-    cell = f"[{inner}{{}},{inner}{{}},{inner}{{}}{outer}]"
-    return _json_block(map(cell.format, *cells.T.tolist()), depth, "[]")
-
-
-def _pair_cells(triplets, marginal_a: np.ndarray, marginal_b: np.ndarray) -> np.ndarray:
-    """The (nnz x 3) stored cells of a file's [row, col, count] triplets.
-
-    The row sums must be marginal_a and the column sums marginal_b. The cells
-    come back canonical, as fit makes them: a repeated cell is summed into
-    one, zero counts are dropped and the rest sorted row-major.
-    """
-    if not set(map(len, triplets)) <= {3}:
-        raise ValueError("pair cells must be [row, col, count] triplets")
-    # fromiter over the flattened cells is about 2.5x faster than np.asarray on
-    # the nested lists, and a model file holds tens of thousands of cells.
-    numbers = itertools.chain.from_iterable(triplets)
-    cells = np.fromiter(numbers, dtype=np.int64, count=3 * len(triplets))
-    rows, cols, counts = cells.reshape(-1, 3).T
-    size_a, size_b = len(marginal_a), len(marginal_b)
-    if (
-        (rows < 0) | (rows >= size_a) | (cols < 0) | (cols >= size_b) | (counts < 0)
-    ).any():
-        raise ValueError("pair cell index or count out of range")
-    row_sums = np.zeros(size_a, dtype=np.int64)
-    np.add.at(row_sums, rows, counts)
-    col_sums = np.zeros(size_b, dtype=np.int64)
-    np.add.at(col_sums, cols, counts)
-    if not (np.array_equal(row_sums, marginal_a) and np.array_equal(col_sums, marginal_b)):
-        raise ValueError("pair counts do not sum to the marginals")
-    flat, inverse = np.unique(rows * size_b + cols, return_inverse=True)
-    summed = np.zeros(len(flat), dtype=np.int64)
-    np.add.at(summed, inverse, counts)
-    kept = summed > 0
-    return _cells(flat[kept], summed[kept], size_b)
-
-
-def _cells(flat: np.ndarray, counts: np.ndarray, size_b: int) -> np.ndarray:
-    """(nnz x 3) [row, col, count] cells from flat row-major cell indices."""
+def _count_cells(
+    col_a: np.ndarray, col_b: np.ndarray, weights: np.ndarray, size_a: int, size_b: int
+) -> np.ndarray:
+    """Nonzero co-occurrence cells of two weighted code columns, [row, col, count] row-major."""
+    table = np.bincount(col_a * size_b + col_b, weights, minlength=size_a * size_b)
+    flat = np.flatnonzero(table)
     cells = np.empty((len(flat), 3), dtype=np.int64)
     np.divmod(flat, size_b, out=(cells[:, 0], cells[:, 1]))
-    cells[:, 2] = counts
+    cells[:, 2] = table[flat]
     return cells
 
 
-def _count_cells(col_a: np.ndarray, col_b: np.ndarray, size_a: int, size_b: int) -> np.ndarray:
-    """Nonzero co-occurrence cells of two code columns, row-major."""
-    table = np.bincount(col_a * size_b + col_b, minlength=size_a * size_b)
-    cells = np.flatnonzero(table)
-    return _cells(cells, table[cells], size_b)
+def _count(rows: np.ndarray, multiplicities: np.ndarray, vocab: AttributeVocabulary) -> CountTable:
+    """The counts of an (m x A) code matrix whose row i occurs multiplicities[i] times.
+
+    Repeated rows are merged and the rest sorted, so the same multiset of
+    rows gives the same CountTable in any order. Each pair is counted on its
+    own and only its nonzero cells are kept.
+    """
+    # Sort the rows lexicographically and merge each run of equal rows. lexsort
+    # sorts by its last key first, hence the reversed columns; it is several
+    # times faster than np.unique(rows, axis=0), which sorts structured records.
+    # With no columns there is nothing to sort: every row is the same row.
+    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+    rows = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+    distinct = rows[starts]
+    merged = np.add.reduceat(multiplicities[order], np.flatnonzero(starts))
+    weights = merged.astype(np.float64)
+    attrs = vocab.attributes
+    columns = dict(zip(attrs, distinct.T))
+    marginals = {
+        a: np.bincount(columns[a], weights, minlength=vocab.size(a)).astype(np.int64)
+        for a in attrs
+    }
+    pair_counts = {
+        (a, b): _count_cells(columns[a], columns[b], weights, vocab.size(a), vocab.size(b))
+        for a, b in itertools.combinations(attrs, 2)
+    }
+    return CountTable(
+        marginal_counts=marginals,
+        pair_counts=pair_counts,
+        num_samples=int(merged.sum()),
+        rows=distinct,
+        multiplicities=merged,
+    )
 
 
 def fit(
@@ -326,28 +297,15 @@ def fit(
     skip_unk_evidence: bool = False,
     with_prior: bool = False,
 ) -> SmoothedModel:
-    """Count marginals and pairwise co-occurrences over encode_corpus's (n x A) codes.
-
-    Each pair is counted on its own and only its nonzero cells are kept.
-    """
+    """Count marginals and pairwise co-occurrences over encode_corpus's (n x A) codes."""
     if len(codes) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
     if alpha <= 0:
         raise ValueError(f"alpha must be > 0, got {alpha}")
     if smoothing not in SMOOTHING_MODES:
         raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
-    attrs = vocab.attributes
-    columns = dict(zip(attrs, np.ascontiguousarray(codes.T)))
-    marginals = {a: np.bincount(columns[a], minlength=vocab.size(a)) for a in attrs}
-    pair_counts = {
-        (a, b): _count_cells(columns[a], columns[b], vocab.size(a), vocab.size(b))
-        for a, b in itertools.combinations(attrs, 2)
-    }
-    counts = CountTable(
-        marginal_counts=marginals, pair_counts=pair_counts, num_samples=len(codes)
-    )
     return SmoothedModel(
-        counts=counts,
+        counts=_count(codes, np.ones(len(codes), dtype=np.int64), vocab),
         alpha=alpha,
         vocab=vocab,
         smoothing=smoothing,

@@ -333,10 +333,17 @@ def _escapes_next(text: str) -> bool:
 
 
 def _logical_lines(text: str):
-    """Yield (first physical line number, joined logical line) pairs."""
+    """Yield (first physical line number, joined logical line) pairs.
+
+    Physical lines end only at \\n, \\r\\n or \\r. str.splitlines would also
+    break at form feeds, vertical tabs, U+2028 and other characters that a
+    quoted option value may hold.
+    """
     buffer: list[str] = []
     start_line = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.rstrip()
         if buffer:
             if line.endswith("\\"):

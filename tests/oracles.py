@@ -6,18 +6,14 @@ package beyond the UNK sentinel string, so agreement is meaningful. The
 exceptions are the package's own earlier implementations, kept as references
 for the faster code that replaced them: posterior_loop scores a fitted model
 one record at a time, dense_pair_counts counts every cell of every pair table,
-model_json writes a model file through json.dumps, split_options splits a
-rule body one character at a time, and find_rule looks a sid up by parsing
-the whole file.
+split_options splits a rule body one character at a time, and find_rule looks
+a sid up by parsing the whole file.
 """
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from ruleforge.bayes import MODEL_FORMAT, MODEL_VERSION
 from ruleforge.parser import ParsedRule, UnterminatedOption, parse_ruleset
 
 UNK = "UNK"
@@ -170,41 +166,6 @@ def dense_pair_counts(codes: np.ndarray, vocab) -> dict[tuple[str, str], np.ndar
                 size_a, size_b
             )
     return tables
-
-
-# ---------------------------------------------------------------------------
-# model file text through json.dumps, the byte-exact reference
-
-
-def model_json(model) -> str:
-    """The model file that SmoothedModel.to_json wrote through json.dumps."""
-    pairs: dict[str, dict[str, list[list[int]]]] = {}
-    attributes = model.vocab.attributes
-    for i, a in enumerate(attributes):
-        for b in attributes[i + 1 :]:
-            table = model.counts.pair(a, b)
-            rows, cols = np.nonzero(table)
-            triplets = [
-                [int(r), int(c), int(table[r, c])] for r, c in zip(rows, cols)
-            ]
-            pairs.setdefault(a, {})[b] = triplets
-    payload = {
-        "format": MODEL_FORMAT,
-        "version": MODEL_VERSION,
-        "alpha": model.alpha,
-        "smoothing": model.smoothing,
-        "skip_unk_evidence": model.skip_unk_evidence,
-        "with_prior": model.with_prior,
-        "num_samples": model.counts.num_samples,
-        "vocab_sha256": model.vocab.sha256(),
-        "vocabulary": {a: list(model.vocab.values[a]) for a in model.vocab.attributes},
-        "marginals": {
-            a: [int(c) for c in model.counts.marginal_counts[a]]
-            for a in model.vocab.attributes
-        },
-        "pairs": pairs,
-    }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -365,30 +365,21 @@ class TestPersistence:
         with pytest.raises(RuleforgeError):
             SmoothedModel.load(str(path))
 
-    def test_non_canonical_cells_load_as_their_canonical_form(self, ten_rule_corpus, tmp_path):
-        """Repeated, zero-count and out-of-order cells load as the canonical file does."""
+    def test_non_canonical_rows_load_as_their_canonical_form(self, ten_rule_corpus, tmp_path):
+        """Repeated and out-of-order rows load as the canonical file does."""
         model, vocab = fit_dicts(ten_rule_corpus)
         canonical = model.to_json()
         payload = json.loads(canonical)
-        split = 0
-        for a, row in payload["pairs"].items():
-            for b, cells in row.items():
-                occupied = {(r, c) for r, c, _ in cells}
-                cells.reverse()
-                r, c, count = cells[0]
-                if count >= 2:  # one cell written as two
-                    cells[0][2] = 1
-                    cells.append([r, c, count - 1])
-                    split += 1
-                cells.insert(1, [r, c, 0])
-                empty = itertools.product(range(vocab.size(a)), range(vocab.size(b)))
-                free = next((cell for cell in empty if cell not in occupied), None)
-                if free is not None:
-                    cells.insert(0, [*free, 0])
-        assert split > 0
+        rows, multiplicities = payload["rows"], payload["multiplicities"]
+        split = multiplicities.index(max(multiplicities))
+        assert multiplicities[split] >= 2  # one row written as two
+        rows.append(rows[split])
+        multiplicities.append(multiplicities[split] - 1)
+        multiplicities[split] = 1
+        rows.reverse()
+        multiplicities.reverse()
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload, sort_keys=True, indent=1) + "\n", encoding="utf-8")
-        assert path.read_text(encoding="utf-8") != canonical
         loaded = SmoothedModel.load(str(path))
         assert loaded.to_json() == canonical
         for pair, cells in model.counts.pair_counts.items():
@@ -408,12 +399,16 @@ class TestPersistence:
 
 
 class TestModelFileBytes:
-    """to_json writes the bytes json.dumps(payload, sort_keys=True, indent=1) wrote."""
+    """to_json writes compact JSON with sorted keys, and load reads the same bytes back."""
 
     @staticmethod
     def assert_same_bytes(model, tmp_path):
         text = model.to_json()
-        assert text == oracles.model_json(model)
+        payload = json.loads(text)
+        assert text == json.dumps(payload, sort_keys=True) + "\n"
+        assert payload["rows"] == model.counts.rows.tolist()
+        assert payload["multiplicities"] == model.counts.multiplicities.tolist()
+        assert sum(payload["multiplicities"]) == payload["num_samples"]
         path = tmp_path / "model.json"
         model.save(str(path))
         assert path.read_text(encoding="utf-8") == text
@@ -430,7 +425,9 @@ class TestModelFileBytes:
         vocab = vocabulary_from_dicts(corpus)
         model = fit(encode_dicts(corpus, vocab), vocab)
         assert len(vocab.attributes) == len(corpus[0])
-        assert '"pairs": {}' in model.to_json()
+        assert model.counts.pair_counts == {}
+        distinct = {tuple(sorted(row.items())) for row in corpus}
+        assert model.counts.rows.shape == (len(distinct), len(vocab.attributes))
         self.assert_same_bytes(model, tmp_path)
 
     def test_escaped_strings(self, tmp_path):

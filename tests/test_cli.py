@@ -39,10 +39,26 @@ def table2_file(tmp_path):
     return str(path)
 
 
+def run_as_main(argv: list[str]) -> int:
+    """run() as in a fresh process: with no root handler, it logs to the current stderr.
+
+    pytest's own log handlers are set aside for the call, and the handler run
+    installs is removed after it, so it cannot outlive the call (a fixture's
+    would write to set-up's captured stderr, closed by the time the test runs).
+    """
+    root = logging.getLogger()
+    saved = root.handlers[:]
+    root.handlers.clear()
+    try:
+        return run(argv)
+    finally:
+        root.handlers[:] = saved
+
+
 @pytest.fixture
 def trained_model(tmp_path, table2_file):
     model_path = str(tmp_path / "model.json")
-    code = run(["train", "--rules", table2_file, "--out", model_path, "--keep-constant"])
+    code = run_as_main(["train", "--rules", table2_file, "--out", model_path, "--keep-constant"])
     assert code == 0
     return model_path
 
@@ -169,8 +185,11 @@ class TestAbduce:
 
     def test_unknown_target(self, capsys, table2_file, trained_model):
         argv = ["abduce", "--model", trained_model, "--rules", table2_file, "--seed-sid", "13162"]
-        assert run([*argv, "--target", "nope"]) == 2
-        assert "attribute 'nope' not in vocabulary" in capsys.readouterr().err
+        capsys.readouterr()
+        assert run_as_main([*argv, "--target", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert "ERROR ruleforge attribute 'nope' not in vocabulary" in err
+        assert "Logging error" not in err
 
     def test_tampered_model_rejected(self, tmp_path, table2_file, trained_model):
         text = (tmp_path / "model.json").read_text(encoding="utf-8")
@@ -275,61 +294,75 @@ class TestGenerate:
             "row_negative",
             "num_samples_negative",
             "num_samples_zero",
+            "num_samples_2_53",
             "alpha_negative",
             "alpha_infinite",
             "smoothing_bogus",
             "marginal_sum",
             "marginal_1e30",
-            "count_1e30",
-            "row_sums",
-            "column_sums",
+            "code_1e30",
+            "code_float",
+            "code_bool",
+            "multiplicity_float",
+            "row_width",
+            "multiplicity_zero",
+            "lengths_differ",
             "unk_swapped",
             "unk_missing",
             "value_duplicate",
             "values_out_of_order",
             "unk_repeated",
-            "version_2",
+            "version_1",
+            "version_3",
         ],
     )
-    def test_malformed_model_exits_2(self, tmp_path, table2_file, trained_model, defect):
+    def test_malformed_model_exits_2(self, capsys, tmp_path, table2_file, trained_model, defect):
         text = (tmp_path / "model.json").read_text(encoding="utf-8")
         if defect == "truncated":
             text = text[: len(text) // 2]
         else:
             payload = json.loads(text)
-            a, b, cells = next(
-                (a, b, c) for a, row in payload["pairs"].items() for b, c in row.items() if c
-            )
+            rows, multiplicities = payload["rows"], payload["multiplicities"]
             if defect == "no_num_samples":
                 del payload["num_samples"]
-            elif defect in ("row_1e6", "row_negative"):
-                cells[0][0] = 10**6 if defect == "row_1e6" else -1
+            elif defect in ("row_1e6", "row_negative"):  # a code outside the attribute's values
+                rows[0][0] = 10**6 if defect == "row_1e6" else -1
             elif defect == "num_samples_negative":
                 payload["num_samples"] = -50
-            elif defect == "num_samples_zero":  # every count zero, so the sums agree
+            elif defect == "num_samples_zero":  # no rows, so the sum agrees
                 payload["num_samples"] = 0
-                for counts in payload["marginals"].values():
-                    counts[:] = [0] * len(counts)
-                for row in payload["pairs"].values():
-                    row.update(dict.fromkeys(row, []))
+                rows.clear()
+                multiplicities.clear()
+            elif defect == "num_samples_2_53":  # the sum agrees, but counts past 2**53 round
+                multiplicities[0] += 2**53 - payload["num_samples"]
+                payload["num_samples"] = 2**53
             elif defect == "alpha_negative":
                 payload["alpha"] = -1.0
             elif defect == "alpha_infinite":
                 payload["alpha"] = float("inf")  # json.dumps writes Infinity
             elif defect == "smoothing_bogus":
                 payload["smoothing"] = "bogus"
-            elif defect == "marginal_sum":  # the pair tables still agree with the marginals
+            elif defect == "marginal_sum":  # the multiplicities, so every marginal, miss one
                 payload["num_samples"] += 1
-            elif defect == "marginal_1e30":
-                payload["marginals"][a][0] = 10**30
-            elif defect == "count_1e30":
-                cells[0][2] = 10**30
-            elif defect == "row_sums":  # the column sums still hold
-                cells[0][0] = (cells[0][0] + 1) % len(payload["vocabulary"][a])
-            elif defect == "column_sums":  # the row sums still hold
-                cells[0][1] = (cells[0][1] + 1) % len(payload["vocabulary"][b])
-            elif defect == "version_2":
-                payload["version"] = 2
+            elif defect == "marginal_1e30":  # a row counted past int64
+                multiplicities[0] = 10**30
+            elif defect == "code_1e30":
+                rows[0][0] = 10**30
+            elif defect == "code_float":  # not truncated to the valid code 1
+                rows[0][0] = 1.5
+            elif defect == "code_bool":  # true would read as the valid code 1
+                rows[0][0] = True
+            elif defect == "multiplicity_float":  # the sum still agrees
+                multiplicities[0] = 1.0
+            elif defect == "row_width":
+                rows[0].append(1)
+            elif defect == "multiplicity_zero":  # the sum still agrees
+                rows.append(rows[0])
+                multiplicities.append(0)
+            elif defect == "lengths_differ":  # the sum still agrees
+                rows.append(rows[0])
+            elif defect in ("version_1", "version_3"):
+                payload["version"] = int(defect[-1])
             else:  # a vocabulary build_vocabulary cannot make, its hash recomputed
                 values = payload["vocabulary"]["byte_test"]  # UNK and two values
                 if defect == "unk_swapped":
@@ -350,7 +383,13 @@ class TestGenerate:
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
         argv = ["generate", "--model", str(bad), "--rules", table2_file, "--seed-sid", "13162"]
-        assert run(argv) == 2
+        capsys.readouterr()
+        assert run_as_main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"ERROR ruleforge {bad}: " in err
+        assert "Traceback" not in err
+        if defect.startswith("version_"):
+            assert f"unsupported model version {defect[-1]}" in err
 
 
 class TestCluster:

@@ -8,12 +8,13 @@ import hashlib
 
 import pytest
 
+from ruleforge import SmoothedModel
 from ruleforge.cli import run
 
 SEED_SID = "7209"
 
 GOLDEN = {
-    "train": "3a167356373fb64a1bed381c4ca8ccf0c665fc2d75a2501d3ca5b5f12002ccad",
+    "train": "8008bd74720943dec360b5866d2fc0b353877cf737118f1ce2b1468ebf03fa9e",
     "generate": "0fbc9c3a03e65ce728d5556d63f26aade05bd8e6a176df6bb495c93330dd45ca",
     "abduce": "1f6fe70569e9daaa011aa6f62dcb7a8ee82168d9d68eca13e67bf8051af94842",
     "sweep": "4f1d3a353ee0829810f128c87c15143bdc6116e56437b97640672712ec837b0b",
@@ -62,3 +63,17 @@ def test_output_bytes(name, tmp_path, sample_corpus_path, model_path):
     data = out.read_bytes()
     assert data, f"{name} wrote nothing"
     assert hashlib.sha256(data).hexdigest() == GOLDEN[name]
+
+
+def test_committed_model_file_reads_back(tmp_path, sample_corpus_path):
+    """The committed model file is what train writes; it loads, saves and scores as written."""
+    committed = sample_corpus_path.with_name("sample_netbios.model.json")
+    data = committed.read_bytes()
+    assert hashlib.sha256(data).hexdigest() == GOLDEN["train"]
+    saved = tmp_path / "saved.json"
+    SmoothedModel.load(str(committed)).save(str(saved))
+    assert saved.read_bytes() == data
+    out = tmp_path / "abduce.out"
+    argv = _command("abduce", str(sample_corpus_path), str(committed))
+    assert run([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN["abduce"]

@@ -1,4 +1,4 @@
-"""Property tests for the counts, the posterior, the enumeration and materialized rules.
+"""Property tests for the counts, the model file, the posterior, the enumeration and rules.
 
 Hypothesis runs derandomized, so every run draws the same examples. A corpus
 is a list of dict rows that conftest.encode_dicts turns into the code matrix
@@ -6,13 +6,18 @@ fit counts. Every row also renders as a rule whose parsed attribute values
 are that row, so any row can be the seed of an enumeration.
 """
 
-from hypothesis import given, settings
+import json
+import random
+
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import MODEL_CONFIGS, encode_dicts, vocabulary_from_dicts
 from ruleforge import (
     SeedObservation,
+    SmoothedModel,
     Strategy,
     abduce_antecedents,
     build_candidate_graph,
@@ -45,6 +50,12 @@ ROW = st.builds(
     st.dictionaries(st.sampled_from(OPTION_KEYS), st.sampled_from(OPTION_VALUES)),
 )
 CORPUS = st.lists(ROW, min_size=1, max_size=12)
+# Corpora over at most two attributes, down to none at all, with many repeated rows.
+NARROW_CORPUS = st.lists(
+    st.dictionaries(st.sampled_from(["k0", "k1"]), st.sampled_from(["a", "b"])),
+    min_size=1,
+    max_size=12,
+)
 STRATEGY = st.one_of(
     st.just(Strategy.mle()),
     st.integers(1, 4).map(Strategy.topk),
@@ -86,6 +97,58 @@ def test_pair_tables_equal_the_dense_counts(corpus):
         assert forward.dtype == backward.dtype == table.dtype
         assert forward.tolist() == table.tolist()
         assert backward.tolist() == table.T.tolist()
+
+
+@settings(DETERMINISTIC, max_examples=50)
+@given(
+    corpus=st.one_of(CORPUS, NARROW_CORPUS),
+    config=st.sampled_from(MODEL_CONFIGS),
+    shuffle=st.randoms(use_true_random=False),
+)
+@example(corpus=[{}, {}], config=MODEL_CONFIGS[0], shuffle=random.Random(0))
+@example(
+    corpus=[{"k0": "a"}, {"k0": "b"}, {}, {"k0": "a"}],
+    config=MODEL_CONFIGS[1],
+    shuffle=random.Random(0),
+)
+def test_model_file_round_trips(corpus, config, shuffle, tmp_path_factory):
+    vocab = vocabulary_from_dicts(corpus)
+    alpha, kwargs = config
+    codes = encode_dicts(corpus, vocab)
+    model = fit(codes, vocab, alpha, **kwargs)
+    distinct, counts = np.unique(codes, axis=0, return_counts=True)
+    assert model.counts.rows.tolist() == distinct.tolist()
+    assert model.counts.multiplicities.tolist() == counts.tolist()
+    text = model.to_json()
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    model.save(str(path))
+    loaded = SmoothedModel.load(str(path))
+    assert loaded.to_json() == text
+    assert loaded.counts.num_samples == model.counts.num_samples == len(corpus)
+    for a in vocab.attributes:
+        assert np.array_equal(loaded.counts.marginal_counts[a], model.counts.marginal_counts[a])
+    assert loaded.counts.pair_counts.keys() == model.counts.pair_counts.keys()
+    for pair, cells in model.counts.pair_counts.items():
+        assert np.array_equal(loaded.counts.pair_counts[pair], cells)
+    for target in vocab.attributes:
+        assert (
+            posterior_log_scores(loaded, codes, target).tobytes()
+            == posterior_log_scores(model, codes, target).tobytes()
+        )
+    # the same rows in another order, one of them written as two, load canonical
+    payload = json.loads(text)
+    rows, multiplicities = payload["rows"], payload["multiplicities"]
+    order = list(range(len(rows)))
+    shuffle.shuffle(order)
+    payload["rows"] = [rows[i] for i in order]
+    payload["multiplicities"] = [multiplicities[i] for i in order]
+    split = next((i for i, m in enumerate(payload["multiplicities"]) if m >= 2), None)
+    if split is not None:
+        payload["rows"].append(payload["rows"][split])
+        payload["multiplicities"].append(payload["multiplicities"][split] - 1)
+        payload["multiplicities"][split] = 1
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    assert SmoothedModel.load(str(path)).to_json() == text
 
 
 @settings(DETERMINISTIC, max_examples=50)

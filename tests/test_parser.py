@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from ruleforge import (
     VALUE_JOIN,
     InvalidOptionValue,
@@ -12,6 +13,7 @@ from ruleforge import (
     RuleHeader,
     RuleOption,
     UnterminatedOption,
+    find_rule,
     parse_rule,
     parse_ruleset,
     serialize_rule,
@@ -270,6 +272,39 @@ class TestParseRuleset:
         rules, errors = parse_ruleset(text)
         assert not rules
         assert errors[0].line == 2
+
+    @pytest.mark.parametrize(
+        "text, sids, error_lines",
+        [
+            (  # a form feed inside a quoted value
+                'alert tcp any any -> any any (content:"a\x0cb"; sid:1;)\n'
+                "alert tcp any any -> any any (sid:2;)\n"
+                "alert tcp any any => any any (sid:3;)\n",
+                [1, 2],
+                [3],
+            ),
+            (  # every other character str.splitlines breaks at, inside a msg; \r\n and \r
+                'alert tcp any any -> any any (msg:"a\u2028b\u2029c\x85d\x0be\x1cf\x1dg\x1eh"; '
+                "sid:4;)\r\n"
+                "alert tcp any any -> any (sid:5;)\r"
+                "alert tcp any any -> any any (sid:6;)\n"
+                "alert tcp any any <> any any (sid:7;)",
+                [4, 6, 7],
+                [2],
+            ),
+        ],
+        ids=["form_feed", "other_breaks"],
+    )
+    def test_lines_break_only_at_newlines(self, text, sids, error_lines):
+        rules, errors = parse_ruleset(text)
+        assert [rule.sid for rule in rules] == sids
+        assert [error.line for error in errors] == error_lines
+        if sids[0] == 4:
+            assert rules[0].msg == "a\u2028b\u2029c\x85d\x0be\x1cf\x1dg\x1eh"
+        for sid in [*sids, 3, 5]:
+            rule, _ = find_rule(text, sid)
+            assert rule == oracles.find_rule(text, sid)
+            assert (rule is not None) == (sid in sids)
 
     def test_never_raises_on_garbage(self):
         rules, errors = parse_ruleset("???\n\x00\x01\nalert tcp any any -> any any (sid:1;)")
