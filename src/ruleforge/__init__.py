@@ -36,7 +36,6 @@ from .encoding import (
     AttributeVocabulary,
     EmptyCorpus,
     ExclusionList,
-    MissingAssignment,
     UnknownAttribute,
     attach_cluster_feature,
     build_vocabulary,
@@ -120,7 +119,6 @@ __all__ = [
     "AttributeVocabulary",
     "EmptyCorpus",
     "ExclusionList",
-    "MissingAssignment",
     "UnknownAttribute",
     "attach_cluster_feature",
     "build_vocabulary",

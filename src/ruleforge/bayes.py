@@ -178,13 +178,13 @@ class SmoothedModel:
         version = payload["version"]
         if type(version) is not int or version != MODEL_VERSION:
             raise RuleforgeError(f"{path}: unsupported model version {version!r}")
-        alpha = float(payload["alpha"])
+        alpha = float(_json_scalar(payload, "alpha", int, float))
         if not (math.isfinite(alpha) and alpha > 0):
             raise ValueError(f"alpha must be finite and > 0, got {alpha}")
         smoothing = payload["smoothing"]
         if smoothing not in SMOOTHING_MODES:
             raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
-        num_samples = int(payload["num_samples"])
+        num_samples = _json_scalar(payload, "num_samples", int)
         if not 1 <= num_samples < _EXACT_COUNTS:
             raise ValueError(f"num_samples must be >= 1 and < 2**53, got {num_samples}")
         vocab = AttributeVocabulary(
@@ -215,9 +215,16 @@ class SmoothedModel:
             alpha=alpha,
             vocab=vocab,
             smoothing=smoothing,
-            skip_unk_evidence=bool(payload["skip_unk_evidence"]),
-            with_prior=bool(payload["with_prior"]),
+            skip_unk_evidence=_json_scalar(payload, "skip_unk_evidence", bool),
+            with_prior=_json_scalar(payload, "with_prior", bool),
         )
+
+
+def _json_scalar(payload: dict, key: str, *kinds: type):
+    """payload[key] if its exact type is one of kinds: true is no number, 1 no boolean."""
+    if type(payload[key]) not in kinds:
+        raise ValueError(f"{key} must be of type {' or '.join(k.__name__ for k in kinds)}")
+    return payload[key]
 
 
 def _is_value_list(values: tuple) -> bool:

@@ -551,14 +551,12 @@ def _cmd_cluster(args) -> int:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["sid", "cluster_id"])
-    for index, rule in enumerate(rules):
-        writer.writerow([rule.sid if rule.sid is not None else index, assignment.labels[index]])
+    labels = assignment.labels.tolist()
+    for index, (rule, label) in enumerate(zip(rules, labels)):
+        writer.writerow([rule.sid if rule.sid is not None else index, label])
     _write_output(args, buffer.getvalue())
     LOG.info(
-        "command=cluster rules=%d clusters=%d linkage=%s",
-        len(rules),
-        len(set(assignment.labels.values())),
-        args.linkage,
+        "command=cluster rules=%d clusters=%d linkage=%s", len(rules), max(labels) + 1, args.linkage
     )
     return 0
 
@@ -609,12 +607,26 @@ def _cmd_sweep(args) -> int:
 
 
 def run(argv=None) -> int:
-    """Entry point; returns the process exit code instead of raising."""
+    """Entry point; returns the process exit code instead of raising.
+
+    When the root logger has no handler, log lines go to sys.stderr for the
+    duration of the call; the root handlers and level are restored after it.
+    """
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    if not logging.getLogger().handlers:
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    if not handlers:
         logging.basicConfig(
             stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s %(message)s"
         )
+    try:
+        return _run(argv)
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+
+
+def _run(argv: list[str]) -> int:
     try:
         config_path = _extract_config_path(argv)
         config = load_config(config_path) if config_path else {}

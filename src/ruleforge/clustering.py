@@ -10,8 +10,9 @@ synthetics included). build_distance_matrix computes each edit distance once
 per distinct value pair within a key, with a bit-parallel kernel, into one
 table per key, and assembles D from those tables and a key-presence matrix
 with numpy. Clustering is plain bottom-up agglomeration over the precomputed
-matrix with single/complete/average linkage; equal-distance merge
-candidates are broken deterministically toward the lowest index pair.
+matrix with single/complete/average linkage, in one working copy of it;
+equal-distance merge candidates are broken deterministically toward the
+lowest index pair. A cut's labels are one int array over the rules.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ class DistanceParams:
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric pairwise distances with a zero diagonal."""
+    """Symmetric, finite pairwise distances with a zero diagonal."""
 
     entries: np.ndarray
 
@@ -58,6 +59,8 @@ class DistanceMatrix:
         matrix = np.asarray(self.entries, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("distance matrix must be square")
+        if not np.isfinite(matrix).all():
+            raise ValueError("distances must be finite")
         if not np.allclose(matrix, matrix.T):
             raise ValueError("distance matrix must be symmetric")
         if not np.allclose(np.diag(matrix), 0.0):
@@ -75,19 +78,20 @@ class DistanceMatrix:
 class ClusterAssignment:
     """Flat labels plus the merge history that produced them.
 
-    labels maps rule_id (matrix row index) -> cluster label; labels are
-    assigned 0..k-1 in order of each cluster's smallest member. merge_history
-    records (cluster_a, cluster_b, height) with non-decreasing heights, where
-    a cluster is identified by its smallest member index.
+    labels is an int array of length n: labels[i] is the cluster of matrix
+    row i, numbered 0..k-1 in order of each cluster's smallest member.
+    merge_history records (cluster_a, cluster_b, height) with non-decreasing
+    heights, where a cluster is identified by its smallest member index.
     """
 
-    labels: dict[int, int]
+    labels: np.ndarray
     merge_history: tuple[tuple[int, int, float], ...]
     cut: dict[str, float] = field(default_factory=dict)
 
     def clusters(self) -> dict[int, list[int]]:
+        """Label -> its rows, ascending."""
         groups: dict[int, list[int]] = {}
-        for rule_id, label in sorted(self.labels.items()):
+        for rule_id, label in enumerate(self.labels.tolist()):
             groups.setdefault(label, []).append(rule_id)
         return groups
 
@@ -178,6 +182,7 @@ def build_distance_matrix(
     row block of D gathers table[c_i, c_j] over the keys. KD comes from the
     key-presence matrix P as |K_i| + |K_j| - 2 P P^T. Both parts are exact
     integers, so D = w1 * KD + w2 * lev equals rule_distance bit for bit.
+    Weights so large that an entry overflows float64 raise RuleforgeError.
     """
     if params is None:
         params = DistanceParams()
@@ -205,33 +210,35 @@ def build_distance_matrix(
         edits = np.zeros(keys_apart.shape, dtype=np.int32)
         for table, column in tables:
             edits += table[column[rows]].take(column, axis=1)
-        matrix[rows] = w1 * keys_apart + w2 * edits
+        with np.errstate(over="ignore"):
+            matrix[rows] = w1 * keys_apart + w2 * edits
+        if not np.isfinite(matrix[rows]).all():
+            raise RuleforgeError(f"distances overflow with --w1 {w1!r} and --w2 {w2!r}")
     return DistanceMatrix(entries=matrix)
 
 
 def _merge_sequence(
     matrix: DistanceMatrix, linkage: str
 ) -> list[tuple[int, int, float]]:
-    """Full greedy merge sequence via Lance-Williams updates.
+    """Full greedy merge sequence via Lance-Williams updates, in one copy of D.
 
     Cluster slots are indexed by their smallest member, so the merge of slots
-    i < j lives on in slot i. Ties on distance resolve to the smallest (i, j)
-    in row-major order, which np.argmin's first-occurrence rule gives us.
+    i < j lives on in slot i. The copy holds +inf on the diagonal and in the
+    rows and columns of merged-away slots, and stays symmetric, so np.argmin's
+    row-major first minimum is the smallest (i, j), i < j, of the closest pairs.
     """
     n = matrix.n
     distances = matrix.entries.copy()
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-    work = np.where(upper, distances, np.inf)
+    np.fill_diagonal(distances, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
     merges: list[tuple[int, int, float]] = []
     for _ in range(n - 1):
-        flat = int(np.argmin(work))
-        i, j = divmod(flat, n)
-        height = float(work[i, j])
-        merges.append((i, j, height))
-        others = np.where(active)[0]
-        others = others[(others != i) & (others != j)]
+        i, j = divmod(int(np.argmin(distances)), n)
+        merges.append((i, j, float(distances[i, j])))
+        active[[i, j]] = False
+        others = np.flatnonzero(active)
+        active[i] = True
         d_ik = distances[i, others]
         d_jk = distances[j, others]
         if linkage == "single":
@@ -242,35 +249,18 @@ def _merge_sequence(
             updated = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
         distances[i, others] = updated
         distances[others, i] = updated
-        low = np.minimum(i, others)
-        high = np.maximum(i, others)
-        work[low, high] = updated
-        work[j, :] = np.inf
-        work[:, j] = np.inf
+        distances[j, :] = np.inf
+        distances[:, j] = np.inf
         sizes[i] += sizes[j]
-        active[j] = False
     return merges
 
 
-def _labels_from_prefix(n: int, merges: Sequence[tuple[int, int, float]]) -> dict[int, int]:
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+def _labels_from_prefix(n: int, merges: Sequence[tuple[int, int, float]]) -> np.ndarray:
+    """Labels 0..k-1 by smallest member: merge (i, j) keeps slot i, its smallest member."""
+    slot = np.arange(n)
     for i, j, _ in merges:
-        parent[find(j)] = find(i)
-    groups: dict[int, list[int]] = {}
-    for idx in range(n):
-        groups.setdefault(find(idx), []).append(idx)
-    labels: dict[int, int] = {}
-    for label, root in enumerate(sorted(groups, key=lambda r: min(groups[r]))):
-        for idx in groups[root]:
-            labels[idx] = label
-    return labels
+        slot[slot == j] = i
+    return np.unique(slot, return_inverse=True)[1]
 
 
 def agglomerate(
@@ -300,6 +290,9 @@ def agglomerate(
         raise InvalidCut(f"cut_count must be in [1, {n}], got {cut_count}")
     if cut_height is not None and cut_height < 0:
         raise InvalidCut(f"cut_height must be >= 0, got {cut_height}")
+    if linkage == "average" and not math.isfinite(n * float(matrix.entries.max())):
+        # an average's weighted sum is at most n * max(D): keep it finite
+        raise RuleforgeError("distances too large to average: n * max(D) overflows float64")
 
     merges = _merge_sequence(matrix, linkage)
     if cut_count is not None:

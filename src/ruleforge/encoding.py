@@ -8,7 +8,8 @@ value, so encoding is total and every record has one value per attribute.
 A corpus encodes as one (n x A) int64 code matrix: row i is rules[i], the
 columns follow vocab.attributes, and each code indexes that attribute's
 values (0 is UNK). It is the one encoded form: fit counts its columns, the
-posterior kernel scores its rows, and the cluster feature is one more column.
+posterior kernel scores its rows, and the cluster feature is one more column,
+built from the int array of cluster labels that clustering returns.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,10 +41,6 @@ class EmptyCorpus(RuleforgeError):
 
 class UnknownAttribute(RuleforgeError):
     """An attribute name is not part of the vocabulary."""
-
-
-class MissingAssignment(RuleforgeError):
-    """A rule has no cluster label and strict mode is on."""
 
 
 @dataclass(frozen=True)
@@ -180,34 +177,29 @@ def encode_rule(rule: ParsedRule, vocab: AttributeVocabulary) -> np.ndarray:
 
 def attach_cluster_feature(
     codes: np.ndarray,
-    labels: Mapping[int, int],
+    labels: np.ndarray,
     vocab: AttributeVocabulary,
     *,
-    strict: bool = False,
     augmented_vocab: AttributeVocabulary | None = None,
 ) -> tuple[AttributeVocabulary, np.ndarray]:
     """Add the synthetic cluster_id attribute to the vocabulary and the codes.
 
-    labels maps a row position of codes to its cluster label. The returned
-    matrix is a copy with one column inserted at cluster_id's sorted place.
-    Rows without a label encode as UNK unless strict, in which case
-    MissingAssignment is raised. Pass ``augmented_vocab`` to reuse a
-    vocabulary already extended with cluster labels (e.g. for test rules).
+    labels holds the cluster label of each row of codes; the label values
+    sort as strings. The returned matrix is a copy with one column inserted
+    at cluster_id's sorted place. Pass ``augmented_vocab`` to reuse a
+    vocabulary already extended with cluster labels (e.g. for test rules):
+    a label it lacks encodes as UNK.
     """
-    rows = range(len(codes))
+    distinct, inverse = np.unique(labels, return_inverse=True)
+    names = [str(label) for label in distinct.tolist()]
     if augmented_vocab is None:
-        seen = sorted({str(labels[row]) for row in rows if row in labels})
         values = dict(vocab.values)
-        values[CLUSTER_ATTRIBUTE] = (UNK, *seen)
+        values[CLUSTER_ATTRIBUTE] = (UNK, *sorted(names))
         augmented_vocab = AttributeVocabulary(
             attributes=tuple(sorted(vocab.attributes + (CLUSTER_ATTRIBUTE,))),
             values=values,
         )
-    column = np.zeros(len(codes), dtype=np.int64)
-    for row in rows:
-        if row in labels:
-            column[row] = augmented_vocab.index_of(CLUSTER_ATTRIBUTE, str(labels[row]))
-        elif strict:
-            raise MissingAssignment(f"row {row} has no cluster label")
+    indices = [augmented_vocab.index_of(CLUSTER_ATTRIBUTE, name) for name in names]
+    column = np.array(indices, dtype=np.int64)[inverse]
     position = augmented_vocab.attributes.index(CLUSTER_ATTRIBUTE)
     return augmented_vocab, np.insert(codes, position, column, axis=1)

@@ -25,9 +25,9 @@ import numpy as np
 from .abduction import (
     SeedObservation,
     Strategy,
-    abduce_antecedents,
     build_candidate_graph,
-    enumerate_rules,
+    seed_posteriors,
+    select_candidates,
 )
 # predict_distribution and encode_rule are not called here; perfbench/tracing.py
 # wraps them under this module's name
@@ -167,15 +167,9 @@ def value_frequencies(rules: Sequence[ParsedRule], attribute: str) -> list[tuple
     return sorted(counter.items(), key=lambda item: (-item[1], item[0]))
 
 
-def _nearest_cluster(
-    distances: Sequence[float], train_ids: Sequence[int], labels: dict[int, int]
-) -> int:
-    """The cluster at smallest average distance; distances follow train_ids."""
-    totals: dict[int, list[float]] = {}
-    for distance, train_id in zip(distances, train_ids):
-        totals.setdefault(labels[train_id], []).append(distance)
-    averages = {label: sum(d) / len(d) for label, d in totals.items()}
-    return min(averages, key=lambda label: (averages[label], label))
+def _nearest_cluster(distances: np.ndarray, labels: np.ndarray) -> int:
+    """The label 0..k-1 at smallest average distance (the smallest on a tie)."""
+    return int(np.argmin(np.bincount(labels, weights=distances) / np.bincount(labels)))
 
 
 def loco_evaluate(
@@ -211,13 +205,10 @@ def loco_evaluate(
     n = len(rules)
     folds = make_folds(n, spec)
 
-    full_assignment = None
     if with_clusters:
         matrix = build_distance_matrix(rules, distance_params)
         if not cluster_train_only:
-            full_assignment = agglomerate(
-                matrix, linkage, cut_height=cut_height, cut_count=cut_count
-            )
+            labels = agglomerate(matrix, linkage, cut_height=cut_height, cut_count=cut_count).labels
 
     raw_values = [rule.attribute_values() for rule in rules]
     accuracies: dict[tuple[str, str], dict[int, float]] = {}
@@ -230,14 +221,12 @@ def loco_evaluate(
         accuracies.setdefault((attribute, classifier), {})[fold] = value
 
     for fold_index, test_ids in enumerate(folds):
-        test_set = set(int(i) for i in test_ids)
-        train_ids = [i for i in range(n) if i not in test_set]
-        sorted_test_ids = sorted(test_set)
+        train_ids = np.setdiff1d(np.arange(n), test_ids, assume_unique=True)
 
         vocab = build_vocabulary([rules[i] for i in train_ids], exclude)
         codes = encode_corpus(rules, vocab)
         train_codes = codes[train_ids]
-        test_codes = codes[sorted_test_ids]
+        test_codes = codes[test_ids]
         model = fit(
             train_codes,
             vocab,
@@ -247,31 +236,22 @@ def loco_evaluate(
             with_prior=with_prior,
         )
 
-        cluster_model = None
-        cluster_test_codes = None
         if with_clusters:
             if cluster_train_only:
                 train_matrix = DistanceMatrix(matrix.entries[np.ix_(train_ids, train_ids)])
-                local = agglomerate(
+                train_labels = agglomerate(
                     train_matrix, linkage, cut_height=cut_height, cut_count=cut_count
+                ).labels
+                test_labels = np.array(
+                    [_nearest_cluster(matrix.entries[i, train_ids], train_labels) for i in test_ids]
                 )
-                labels = {
-                    train_ids[local_id]: label for local_id, label in local.labels.items()
-                }
-                for rule_id in sorted_test_ids:
-                    distances = matrix.entries[rule_id, train_ids].tolist()
-                    labels[rule_id] = _nearest_cluster(distances, train_ids, labels)
             else:
-                labels = full_assignment.labels
-            # every rule has a label; attach_cluster_feature keys them by row
+                train_labels, test_labels = labels[train_ids], labels[test_ids]
             cluster_vocab, cluster_train_codes = attach_cluster_feature(
-                train_codes, dict(enumerate(labels[i] for i in train_ids)), vocab
+                train_codes, train_labels, vocab
             )
             _, cluster_test_codes = attach_cluster_feature(
-                test_codes,
-                dict(enumerate(labels[i] for i in sorted_test_ids)),
-                vocab,
-                augmented_vocab=cluster_vocab,
+                test_codes, test_labels, vocab, augmented_vocab=cluster_vocab
             )
             cluster_model = fit(
                 cluster_train_codes,
@@ -283,7 +263,7 @@ def loco_evaluate(
             )
 
         for attr_index, attribute in enumerate(vocab.attributes):
-            true_values = [raw_values[i].get(attribute, UNK) for i in sorted_test_ids]
+            true_values = [raw_values[i].get(attribute, UNK) for i in test_ids]
             train_values = [raw_values[i].get(attribute, UNK) for i in train_ids]
 
             predictions = predict_mle_rows(model, test_codes, attribute)
@@ -328,17 +308,23 @@ def threshold_sweep(
     limit: int = 10_000,
     allow_insertion: bool = False,
 ) -> ThresholdSweepResult:
-    """Generated-rule count at each threshold; thresholds must ascend."""
+    """Generated-rule count at each threshold; thresholds must ascend.
+
+    A count is enumerate_rules' length, min(combinations - 1, limit): each
+    graph layer leads with the seed's value and holds no repeats.
+    """
     if not thresholds:
         raise ValueError("thresholds must be non-empty")
     if list(thresholds) != sorted(thresholds):
         raise ValueError("thresholds must be sorted ascending")
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    posteriors = seed_posteriors(model, seed, allow_insertion=allow_insertion)
     points: list[tuple[float, int]] = []
     for threshold in thresholds:
-        candidates = abduce_antecedents(
-            model, seed, Strategy.threshold(threshold), allow_insertion=allow_insertion
+        candidates = select_candidates(
+            model.vocab, seed, Strategy.threshold(threshold), posteriors
         )
         graph = build_candidate_graph(seed, candidates, model.vocab)
-        result = enumerate_rules(graph, seed, limit=limit)
-        points.append((float(threshold), len(result)))
+        points.append((float(threshold), min(graph.total_combinations() - 1, limit)))
     return ThresholdSweepResult(points=tuple(points))

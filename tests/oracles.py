@@ -6,8 +6,10 @@ package beyond the UNK sentinel string, so agreement is meaningful. The
 exceptions are the package's own earlier implementations, kept as references
 for the faster code that replaced them: posterior_loop scores a fitted model
 one record at a time, dense_pair_counts counts every cell of every pair table,
-split_options splits a rule body one character at a time, and find_rule looks
-a sid up by parsing the whole file.
+split_options splits a rule body one character at a time, find_rule looks
+a sid up by parsing the whole file, and merge_sequence agglomerates with
+three n x n arrays (the distances, an upper-triangle mask and a masked work
+copy) where the package keeps one.
 """
 
 from __future__ import annotations
@@ -301,3 +303,45 @@ def labels_at_count(n: int, merges, count: int) -> dict[int, int]:
         for member in members:
             labels[member] = label
     return labels
+
+
+def merge_sequence(matrix, linkage: str) -> list[tuple[int, int, float]]:
+    """Full greedy merge sequence via Lance-Williams updates.
+
+    Cluster slots are indexed by their smallest member, so the merge of slots
+    i < j lives on in slot i. Ties on distance resolve to the smallest (i, j)
+    in row-major order, which np.argmin's first-occurrence rule gives us.
+    matrix is a ruleforge DistanceMatrix.
+    """
+    n = matrix.n
+    distances = matrix.entries.copy()
+    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
+    work = np.where(upper, distances, np.inf)
+    sizes = np.ones(n, dtype=np.int64)
+    active = np.ones(n, dtype=bool)
+    merges: list[tuple[int, int, float]] = []
+    for _ in range(n - 1):
+        flat = int(np.argmin(work))
+        i, j = divmod(flat, n)
+        height = float(work[i, j])
+        merges.append((i, j, height))
+        others = np.where(active)[0]
+        others = others[(others != i) & (others != j)]
+        d_ik = distances[i, others]
+        d_jk = distances[j, others]
+        if linkage == "single":
+            updated = np.minimum(d_ik, d_jk)
+        elif linkage == "complete":
+            updated = np.maximum(d_ik, d_jk)
+        else:  # average
+            updated = (sizes[i] * d_ik + sizes[j] * d_jk) / (sizes[i] + sizes[j])
+        distances[i, others] = updated
+        distances[others, i] = updated
+        low = np.minimum(i, others)
+        high = np.maximum(i, others)
+        work[low, high] = updated
+        work[j, :] = np.inf
+        work[:, j] = np.inf
+        sizes[i] += sizes[j]
+        active[j] = False
+    return merges

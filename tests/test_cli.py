@@ -1,5 +1,6 @@
 """Command-line interface: flows, exit codes, config handling, determinism."""
 
+import io
 import json
 import logging
 import subprocess
@@ -42,9 +43,7 @@ def table2_file(tmp_path):
 def run_as_main(argv: list[str]) -> int:
     """run() as in a fresh process: with no root handler, it logs to the current stderr.
 
-    pytest's own log handlers are set aside for the call, and the handler run
-    installs is removed after it, so it cannot outlive the call (a fixture's
-    would write to set-up's captured stderr, closed by the time the test runs).
+    pytest's own log handlers are set aside for the call and put back after it.
     """
     root = logging.getLogger()
     saved = root.handlers[:]
@@ -314,6 +313,11 @@ class TestGenerate:
             "unk_repeated",
             "version_1",
             "version_3",
+            "skip_unk_string",
+            "with_prior_int",
+            "alpha_string",
+            "alpha_bool",
+            "num_samples_float",
         ],
     )
     def test_malformed_model_exits_2(self, capsys, tmp_path, table2_file, trained_model, defect):
@@ -363,6 +367,16 @@ class TestGenerate:
                 rows.append(rows[0])
             elif defect in ("version_1", "version_3"):
                 payload["version"] = int(defect[-1])
+            elif defect == "skip_unk_string":  # bool("false") is True
+                payload["skip_unk_evidence"] = "false"
+            elif defect == "with_prior_int":
+                payload["with_prior"] = 1
+            elif defect == "alpha_string":
+                payload["alpha"] = "1.0"
+            elif defect == "alpha_bool":
+                payload["alpha"] = True
+            elif defect == "num_samples_float":  # int() truncates it to the agreeing sum
+                payload["num_samples"] += 0.9
             else:  # a vocabulary build_vocabulary cannot make, its hash recomputed
                 values = payload["vocabulary"]["byte_test"]  # UNK and two values
                 if defect == "unk_swapped":
@@ -403,6 +417,29 @@ class TestCluster:
 
     def test_invalid_cut(self, corpus):
         assert run(["cluster", "--rules", corpus, "--cut-count", "99"]) == 2
+
+
+class TestOverflowingWeights:
+    """Weights whose distances overflow float64 are a data error, not 12 clusters."""
+
+    @pytest.mark.parametrize("form", ["argv", "config"])
+    @pytest.mark.parametrize(
+        "command", [["cluster"], ["evaluate", "--folds", "3", "--with-clusters"]]
+    )
+    def test_exits_2_with_one_error_line(self, tmp_path, capsys, corpus, command, form):
+        argv = [*command, "--rules", corpus]
+        if form == "argv":
+            argv += ["--w1", "1e308", "--w2", "1e308"]
+        else:
+            config = tmp_path / "forge.conf"
+            config.write_text("w1 = 1e308\nw2 = 1e308\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        capsys.readouterr()
+        assert run_as_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line == "ERROR ruleforge distances overflow with --w1 1e+308 and --w2 1e+308"
 
 
 class TestEvaluate:
@@ -732,6 +769,39 @@ class TestNonUtf8Input:
         assert run([*argv, "--rules", table2_file, "--config", str(config)]) == 1
         err = capsys.readouterr().err
         assert f"usage error: cannot read config file {config}: 'utf-8' codec" in err
+
+
+class TestLoggingScope:
+    def test_no_handler_outlives_the_call(self, tmp_path, monkeypatch):
+        root = logging.getLogger()
+        saved, level = root.handlers[:], root.level
+        root.handlers.clear()
+        try:
+            first = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", first)
+            assert run(["parse", "--rules", str(tmp_path / "missing.rules")]) == 2
+            assert "ERROR ruleforge" in first.getvalue()
+            assert root.handlers == []
+            assert root.level == level
+            first.close()
+            later = io.StringIO()
+            monkeypatch.setattr(sys, "stderr", later)
+            logging.getLogger("ruleforge").warning("a later line")
+            assert "Logging error" not in later.getvalue()
+        finally:
+            root.handlers[:] = saved
+            root.setLevel(level)
+
+    def test_existing_handlers_are_kept(self, corpus):
+        root = logging.getLogger()
+        handler = logging.NullHandler()
+        root.addHandler(handler)
+        before = root.handlers[:]
+        try:
+            assert run(["parse", "--rules", corpus, "--lint"]) == 0
+            assert root.handlers == before
+        finally:
+            root.removeHandler(handler)
 
 
 class TestExitCodes:

@@ -11,6 +11,7 @@ from ruleforge import (
     DistanceMatrix,
     DistanceParams,
     InvalidCut,
+    RuleforgeError,
     agglomerate,
     build_distance_matrix,
     key_distance,
@@ -136,6 +137,12 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_entry_rejected(self, bad):
+        # an infinite pair once merged a slot with itself: (0, 0, inf)
+        with pytest.raises(ValueError, match="finite"):
+            DistanceMatrix(np.array([[0.0, bad, 1.0], [bad, 0.0, bad], [1.0, bad, 0.0]]))
+
     def test_build_matches_pairwise_calls(self, sample_rules):
         rules = sample_rules[:6]
         params = DistanceParams(w1=1.5, w2=0.75)
@@ -188,6 +195,18 @@ class TestBuildExact:
             with pytest.raises(ValueError):
                 DistanceParams(w1=w1, w2=w2)
 
+    @pytest.mark.parametrize("w1, w2", [(1e308, 1e308), (1e308, 0.0), (0.0, 1e308)])
+    def test_overflowing_weights_rejected(self, sample_rules, w1, w2):
+        # pytest turns numpy's RuntimeWarning into an error: none may be emitted
+        with pytest.raises(RuleforgeError, match="--w1 .* --w2"):
+            build_distance_matrix(sample_rules, DistanceParams(w1=w1, w2=w2))
+
+    def test_largest_finite_weights_kept(self, sample_rules):
+        params = DistanceParams(w1=1e300, w2=1e300)
+        matrix = build_distance_matrix(sample_rules, params)
+        assert np.isfinite(matrix.entries).all()
+        assert matrix.entries[0, 1] == rule_distance(sample_rules[0], sample_rules[1], params)
+
 
 def random_matrix(rng, n):
     raw = rng.uniform(1.0, 10.0, size=(n, n))
@@ -211,8 +230,8 @@ class TestAgglomerate:
         for count in range(1, n + 1):
             cut = agglomerate(DistanceMatrix(entries), linkage, cut_count=count)
             want_labels = oracles.labels_at_count(n, want_merges, count)
-            assert cut.labels == want_labels
-            assert len(set(cut.labels.values())) == count
+            assert dict(enumerate(cut.labels.tolist())) == want_labels
+            assert len(np.unique(cut.labels)) == count
 
     def test_deterministic_tie_break(self):
         # two pairs at distance 1: the smaller indices merge first
@@ -223,7 +242,7 @@ class TestAgglomerate:
         result = agglomerate(DistanceMatrix(entries), "single", cut_count=2)
         assert result.merge_history[0][:2] == (0, 1)
         assert result.merge_history[1][:2] == (2, 3)
-        assert result.labels == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert result.labels.tolist() == [0, 0, 1, 1]
 
     def test_cut_height_prefix(self):
         # chain 0-1-2-3 with increasing gaps: heights 1, 2, 3 under single link
@@ -237,33 +256,33 @@ class TestAgglomerate:
         )
         matrix = DistanceMatrix(entries)
         low = agglomerate(matrix, "single", cut_height=1.5)
-        assert low.labels == {0: 0, 1: 0, 2: 1, 3: 2}
+        assert low.labels.tolist() == [0, 0, 1, 2]
         mid = agglomerate(matrix, "single", cut_height=2.0)
-        assert mid.labels == {0: 0, 1: 0, 2: 0, 3: 1}
+        assert mid.labels.tolist() == [0, 0, 0, 1]
         everything = agglomerate(matrix, "single", cut_height=10.0)
-        assert set(everything.labels.values()) == {0}
+        assert set(everything.labels.tolist()) == {0}
         nothing = agglomerate(matrix, "single", cut_height=0.0)
-        assert nothing.labels == {0: 0, 1: 1, 2: 2, 3: 3}
+        assert nothing.labels.tolist() == [0, 1, 2, 3]
 
     def test_count_extremes(self):
         rng = np.random.default_rng(5)
         entries = random_matrix(rng, 5)
         matrix = DistanceMatrix(entries)
         one = agglomerate(matrix, "average", cut_count=1)
-        assert set(one.labels.values()) == {0}
+        assert set(one.labels.tolist()) == {0}
         all_singletons = agglomerate(matrix, "average", cut_count=5)
-        assert all_singletons.labels == {i: i for i in range(5)}
+        assert all_singletons.labels.tolist() == list(range(5))
 
     def test_default_count_is_sqrt(self):
         rng = np.random.default_rng(9)
         entries = random_matrix(rng, 10)
         result = agglomerate(DistanceMatrix(entries), "average")
-        assert len(set(result.labels.values())) == math.ceil(math.sqrt(10))
+        assert len(np.unique(result.labels)) == math.ceil(math.sqrt(10))
         assert result.cut == {"count": 4}
 
     def test_single_point(self):
         result = agglomerate(DistanceMatrix(np.zeros((1, 1))), "single")
-        assert result.labels == {0: 0}
+        assert result.labels.tolist() == [0]
         assert result.merge_history == ()
 
     def test_labels_ordered_by_smallest_member(self):
@@ -273,7 +292,7 @@ class TestAgglomerate:
         entries[1, 3] = entries[3, 1] = 1.0
         entries[0, 2] = entries[2, 0] = 2.0
         result = agglomerate(DistanceMatrix(entries), "single", cut_count=2)
-        assert result.labels == {0: 0, 2: 0, 1: 1, 3: 1}
+        assert result.labels.tolist() == [0, 1, 0, 1]
         assert result.clusters() == {0: [0, 2], 1: [1, 3]}
 
     def test_invalid_cuts(self):
@@ -291,17 +310,55 @@ class TestAgglomerate:
         with pytest.raises(ValueError):
             agglomerate(matrix, "ward")
 
+    def test_average_overflow_rejected(self):
+        # (1e308 + 1e308) / 2 overflowed to inf, and the last merge became (0, 0, inf)
+        entries = np.array([[0.0, 1.0, 1e308], [1.0, 0.0, 1e308], [1e308, 1e308, 0.0]])
+        with pytest.raises(RuleforgeError, match="overflows"):
+            agglomerate(DistanceMatrix(entries), "average", cut_count=1)
+        for linkage in ("single", "complete"):
+            result = agglomerate(DistanceMatrix(entries), linkage, cut_count=1)
+            assert result.merge_history == ((0, 1, 1.0), (0, 2, 1e308))
+            assert result.labels.tolist() == [0, 0, 0]
+
     def test_assignment_clusters_grouping(self):
-        assignment = ClusterAssignment(
-            labels={0: 0, 1: 1, 2: 0, 3: 1}, merge_history=()
-        )
+        assignment = ClusterAssignment(labels=np.array([0, 1, 0, 1]), merge_history=())
         assert assignment.clusters() == {0: [0, 2], 1: [1, 3]}
 
     def test_rule_pipeline_end_to_end(self, sample_rules):
         matrix = build_distance_matrix(sample_rules)
         result = agglomerate(matrix, "average")
-        assert sorted(result.labels) == list(range(len(sample_rules)))
+        assert result.labels.shape == (len(sample_rules),)
         k = math.ceil(math.sqrt(len(sample_rules)))
-        assert len(set(result.labels.values())) == k
+        assert len(np.unique(result.labels)) == k
         heights = [h for _, _, h in result.merge_history]
         assert heights == sorted(heights)
+
+
+def tie_heavy_matrix(rng, n):
+    """Symmetric small-integer distances: most pairs tie with many others."""
+    upper = np.triu(rng.integers(0, 4, size=(n, n)).astype(np.float64), k=1)
+    return upper + upper.T
+
+
+class TestMergeSequenceReference:
+    """The one-matrix merge loop against the three-array loop it replaced."""
+
+    @pytest.mark.parametrize("linkage", clustering.LINKAGES)
+    @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 60])
+    def test_same_merges_and_labels_at_every_cut(self, linkage, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(3):
+            matrix = DistanceMatrix(tie_heavy_matrix(rng, n))
+            want = oracles.merge_sequence(matrix, linkage)
+            for count in range(1, n + 1):
+                cut = agglomerate(matrix, linkage, cut_count=count)
+                assert cut.merge_history == tuple(want)
+                assert dict(enumerate(cut.labels.tolist())) == oracles.labels_at_count(
+                    n, want, count
+                )
+
+    def test_leaves_the_matrix_unchanged(self):
+        matrix = DistanceMatrix(tie_heavy_matrix(np.random.default_rng(4), 12))
+        before = matrix.entries.copy()
+        agglomerate(matrix, "average")
+        assert matrix.entries.tobytes() == before.tobytes()

@@ -10,7 +10,6 @@ from ruleforge import (
     EmptyCorpus,
     EmptyDataset,
     ExclusionList,
-    MissingAssignment,
     UnknownAttribute,
     attach_cluster_feature,
     build_vocabulary,
@@ -189,7 +188,7 @@ class TestAttachClusterFeature:
     def test_adds_cluster_attribute(self, base):
         vocab, codes = base
         before = codes.copy()
-        labels = {0: 0, 1: 1, 2: 0}
+        labels = np.array([0, 1, 0])
         augmented, records = attach_cluster_feature(codes, labels, vocab)
         assert CLUSTER_ATTRIBUTE in augmented.attributes
         assert augmented.values[CLUSTER_ATTRIBUTE] == (UNK, "0", "1")
@@ -207,7 +206,7 @@ class TestAttachClusterFeature:
         vocab = build_vocabulary(rules, ExclusionList(drop_constant=False))
         codes = encode_corpus(rules, vocab)
         before = codes.copy()
-        augmented, records = attach_cluster_feature(codes, {0: 4, 1: 7}, vocab)
+        augmented, records = attach_cluster_feature(codes, np.array([4, 7]), vocab)
         column = augmented.attributes.index(CLUSTER_ATTRIBUTE)
         assert augmented.attributes[column - 1] < CLUSTER_ATTRIBUTE
         assert augmented.attributes[column + 1] > CLUSTER_ATTRIBUTE
@@ -217,21 +216,26 @@ class TestAttachClusterFeature:
         assert np.array_equal(codes, before)
 
     def test_uncovered_rule_gets_unk(self, base):
+        # a label the reused vocabulary does not cover encodes as UNK
         vocab, codes = base
-        augmented, records = attach_cluster_feature(codes, {0: 0, 1: 0}, vocab)
-        assert records[2, augmented.attributes.index(CLUSTER_ATTRIBUTE)] == 0
+        augmented, _ = attach_cluster_feature(codes[:2], np.array([0, 0]), vocab)
+        _, records = attach_cluster_feature(
+            codes, np.array([0, 0, 1]), vocab, augmented_vocab=augmented
+        )
+        assert records[:, augmented.attributes.index(CLUSTER_ATTRIBUTE)].tolist() == [1, 1, 0]
 
-    def test_strict_mode_raises_on_gap(self, base):
+    def test_labels_sort_as_strings(self, base):
         vocab, codes = base
-        with pytest.raises(MissingAssignment):
-            attach_cluster_feature(codes, {0: 0, 1: 0}, vocab, strict=True)
+        augmented, records = attach_cluster_feature(codes, np.array([10, 2, 10]), vocab)
+        assert augmented.values[CLUSTER_ATTRIBUTE] == (UNK, "10", "2")
+        assert records[:, augmented.attributes.index(CLUSTER_ATTRIBUTE)].tolist() == [1, 2, 1]
 
     def test_augmented_vocabulary_reuse(self, base):
         vocab, codes = base
-        augmented, _ = attach_cluster_feature(codes[:2], {0: 0, 1: 1}, vocab)
+        augmented, _ = attach_cluster_feature(codes[:2], np.array([0, 1]), vocab)
         # held-out row with a label the training vocabulary never saw
         again, records = attach_cluster_feature(
-            codes[2:], {0: 5}, vocab, augmented_vocab=augmented
+            codes[2:], np.array([5]), vocab, augmented_vocab=augmented
         )
         assert again is augmented
         assert records[0, augmented.attributes.index(CLUSTER_ATTRIBUTE)] == 0  # unseen -> UNK

@@ -14,10 +14,14 @@ from ruleforge import (
     InsufficientData,
     SeedObservation,
     SplitSpec,
+    Strategy,
+    abduce_antecedents,
     baseline_max_frequency,
+    build_candidate_graph,
     baseline_random,
     build_vocabulary,
     encode_corpus,
+    enumerate_rules,
     fit,
     loco_evaluate,
     make_folds,
@@ -251,3 +255,25 @@ class TestThresholdSweep:
             threshold_sweep(model, seed, [])
         with pytest.raises(ValueError):
             threshold_sweep(model, seed, [0.1, 0.01])
+        with pytest.raises(ValueError):
+            threshold_sweep(model, seed, [0.01], limit=-1)
+
+    @pytest.mark.parametrize("allow_insertion", [False, True])
+    def test_counts_are_the_enumerated_rules(self, sample_rules, allow_insertion):
+        vocab = build_vocabulary(sample_rules)
+        model = fit(encode_corpus(sample_rules, vocab), vocab)
+        grid = [0.001, 0.01, 0.05, 0.2]
+        for rule in sample_rules:
+            seed = SeedObservation.from_rule(rule, vocab)
+            for limit in (0, 5, 10_000):
+                result = threshold_sweep(
+                    model, seed, grid, limit=limit, allow_insertion=allow_insertion
+                )
+                want = []
+                for threshold in grid:
+                    candidates = abduce_antecedents(
+                        model, seed, Strategy.threshold(threshold), allow_insertion=allow_insertion
+                    )
+                    graph = build_candidate_graph(seed, candidates, vocab)
+                    want.append((threshold, len(enumerate_rules(graph, seed, limit=limit))))
+                assert result.points == tuple(want)
