@@ -6,9 +6,10 @@ The distance between two rules combines structure and content:
 
 where KD is the cardinality of the symmetric difference of the rules'
 attribute-key sets and the sum runs over the keys both rules share (header
-synthetics included). build_distance_matrix computes each edit distance once
-per distinct value pair within a key, with a bit-parallel kernel, into one
-table per key, and assembles D from those tables and a key-presence matrix
+synthetics included). build_distance_matrix reads the corpus as
+encoding.factorize gives it, computes each edit distance once per distinct
+value pair within a key, with a bit-parallel kernel, into one table per key,
+and assembles D from those tables and the key-presence matrix (codes >= 0)
 with numpy. Clustering is plain bottom-up agglomeration over the precomputed
 matrix with single/complete/average linkage, in one working copy of it;
 equal-distance merge candidates are broken deterministically toward the
@@ -23,6 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .encoding import factorize
 from .errors import RuleforgeError
 from .parser import ParsedRule
 
@@ -51,7 +53,7 @@ class DistanceParams:
 
 @dataclass
 class DistanceMatrix:
-    """Symmetric, finite pairwise distances with a zero diagonal."""
+    """Exactly symmetric, finite pairwise distances with a zero diagonal."""
 
     entries: np.ndarray
 
@@ -61,7 +63,7 @@ class DistanceMatrix:
             raise ValueError("distance matrix must be square")
         if not np.isfinite(matrix).all():
             raise ValueError("distances must be finite")
-        if not np.allclose(matrix, matrix.T):
+        if not np.array_equal(matrix, matrix.T):
             raise ValueError("distance matrix must be symmetric")
         if not np.allclose(np.diag(matrix), 0.0):
             raise ValueError("distance matrix diagonal must be zero")
@@ -177,8 +179,8 @@ def build_distance_matrix(
 ) -> DistanceMatrix:
     """All pairwise rule distances, each edit distance computed once.
 
-    Per attribute key, every rule gets the code of its value (-1 when it
-    lacks the key) and the distinct values get one edit-distance table; a
+    factorize gives, per attribute key, every rule's value code (-1 when it
+    lacks the key); the distinct values get one edit-distance table, and a
     row block of D gathers table[c_i, c_j] over the keys. KD comes from the
     key-presence matrix P as |K_i| + |K_j| - 2 P P^T. Both parts are exact
     integers, so D = w1 * KD + w2 * lev equals rule_distance bit for bit.
@@ -187,26 +189,20 @@ def build_distance_matrix(
     if params is None:
         params = DistanceParams()
     n = len(rules)
-    codes: dict[str, list[int]] = {}
-    distinct: dict[str, dict[str, int]] = {}
-    for i, rule in enumerate(rules):
-        for key, value in rule.attribute_values().items():
-            seen = distinct.setdefault(key, {})
-            codes.setdefault(key, [-1] * n)[i] = seen.setdefault(value, len(seen))
-    code_rows = np.array(list(codes.values()), dtype=np.intp).reshape(len(codes), n)
-    presence = (code_rows >= 0).astype(np.float64)
-    key_counts = presence.sum(axis=0)
+    table = factorize(rules)
+    presence = (table.codes >= 0).astype(np.float64)
+    key_counts = presence.sum(axis=1)
     tables = [
-        (_edit_table(list(distinct[key])), column)
-        for key, column in zip(codes, code_rows)
-        if len(distinct[key]) > 1  # one value: every edit distance is 0
+        (_edit_table(values), column)
+        for values, column in zip(table.values, table.codes.T)
+        if len(values) > 1  # one value: every edit distance is 0
     ]
     w1, w2 = float(params.w1), float(params.w2)  # an int weight would keep edits int32
     matrix = np.empty((n, n), dtype=np.float64)
     step = max(1, _BLOCK_CELLS // max(n, 1))
     for start in range(0, n, step):
         rows = slice(start, start + step)
-        keys_apart = key_counts[rows, None] + key_counts - 2 * (presence[:, rows].T @ presence)
+        keys_apart = key_counts[rows, None] + key_counts - 2 * (presence[rows] @ presence.T)
         edits = np.zeros(keys_apart.shape, dtype=np.int32)
         for table, column in tables:
             edits += table[column[rows]].take(column, axis=1)

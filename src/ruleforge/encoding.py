@@ -5,6 +5,12 @@ synthetic header attributes plus every option key observed in the corpus
 (minus exclusions). Attributes a rule does not carry take the reserved UNK
 value, so encoding is total and every record has one value per attribute.
 
+factorize is the one walk over the rules' attribute_values() dicts: every
+attribute key, its distinct values, and an (n x K) int32 matrix of their
+codes, -1 where a rule lacks the key. The vocabulary (of all rows or of an
+evaluation fold's) and the encoding are read from those codes, and the
+distance matrix reads them as they are.
+
 A corpus encodes as one (n x A) int64 code matrix: row i is rules[i], the
 columns follow vocab.attributes, and each code indexes that attribute's
 values (0 is UNK). It is the one encoded form: fit counts its columns, the
@@ -15,9 +21,7 @@ built from the int array of cluster labels that clustering returns.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -126,48 +130,91 @@ class AttributeVocabulary:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+@dataclass(frozen=True)
+class Factorized:
+    """A corpus as one (n x K) int32 code matrix over every attribute key.
+
+    keys are sorted; values[k] holds key k's distinct values in first-seen
+    order, and codes[i, k] indexes them, or is -1 where rule i lacks the key.
+    A flag option's "" and a literal "UNK" value are values like any other.
+    """
+
+    keys: tuple[str, ...]
+    values: tuple[tuple[str, ...], ...]
+    codes: np.ndarray
+
+
+def factorize(rules: Sequence[ParsedRule]) -> Factorized:
+    """One walk over the rules, one attribute_values() dict at a time."""
+    columns: dict[str, tuple[dict[str, int], list[int], list[int]]] = {}
+    for i, rule in enumerate(rules):
+        for key, value in rule.attribute_values().items():
+            column = columns.get(key)
+            if column is None:
+                column = columns[key] = ({}, [], [])
+            seen, rows, codes = column
+            rows.append(i)
+            codes.append(seen.setdefault(value, len(seen)))
+    keys = tuple(sorted(columns))
+    matrix = np.full((len(rules), len(keys)), -1, dtype=np.int32)
+    for k, key in enumerate(keys):
+        _, rows, codes = columns[key]
+        matrix[rows, k] = codes
+    return Factorized(keys, tuple(tuple(columns[key][0]) for key in keys), matrix)
+
+
+def vocabulary_of_codes(
+    table: Factorized, exclude: ExclusionList, rows: np.ndarray | None = None
+) -> AttributeVocabulary:
+    """The vocabulary of the selected rows (all of them by default).
+
+    A key is present where its code is >= 0 and a value is observed where
+    its count is nonzero; keys absent from every selected row are left out.
+    """
+    codes = table.codes if rows is None else table.codes[rows]
+    values: dict[str, tuple[str, ...]] = {}
+    for key, distinct, column in zip(table.keys, table.values, codes.T):
+        if key in exclude.excluded_keys:
+            continue
+        present = column[column >= 0]
+        observed = [distinct[c] for c in np.flatnonzero(np.bincount(present)).tolist()]
+        constant = len(present) == len(codes) and len(observed) == 1
+        if not observed or (exclude.drop_constant and constant):
+            continue
+        values[key] = (UNK, *sorted(v for v in observed if v != UNK))
+    return AttributeVocabulary(attributes=tuple(values), values=values)
+
+
 def build_vocabulary(
     rules: Sequence[ParsedRule], exclude: ExclusionList | None = None
 ) -> AttributeVocabulary:
     """Learn the attribute/value vocabulary from a corpus of parsed rules."""
     if not rules:
         raise EmptyCorpus("cannot build a vocabulary from zero rules")
-    if exclude is None:
-        exclude = ExclusionList()
-    observed: dict[str, set[str]] = {}
-    presence: Counter[str] = Counter()
-    for rule in rules:
-        for attr, value in rule.attribute_values().items():
-            if attr in exclude.excluded_keys:
-                continue
-            observed.setdefault(attr, set()).add(value)
-            presence[attr] += 1
-    names: list[str] = []
-    for attr in sorted(observed):
-        constant = presence[attr] == len(rules) and len(observed[attr]) == 1
-        if exclude.drop_constant and constant:
-            continue
-        names.append(attr)
-    values = {
-        attr: (UNK,) + tuple(sorted(v for v in observed[attr] if v != UNK))
-        for attr in names
-    }
-    return AttributeVocabulary(attributes=tuple(names), values=values)
+    return vocabulary_of_codes(factorize(rules), exclude or ExclusionList())
+
+
+def encode_codes(table: Factorized, vocab: AttributeVocabulary) -> np.ndarray:
+    """(n x A) int64 vocabulary codes of a factorized corpus (see encode_corpus)."""
+    encoded = np.zeros((len(table.codes), len(vocab.attributes)), dtype=np.int64)
+    column_of = {key: k for k, key in enumerate(table.keys)}
+    for a, attr in enumerate(vocab.attributes):
+        k = column_of.get(attr)
+        if k is not None:
+            index = vocab._index[attr]
+            # the trailing 0 is where code -1 (key absent) looks
+            lookup = np.array([index.get(v, 0) for v in table.values[k]] + [0], dtype=np.int64)
+            encoded[:, a] = lookup[table.codes[:, k]]
+    return encoded
 
 
 def encode_corpus(rules: Sequence[ParsedRule], vocab: AttributeVocabulary) -> np.ndarray:
     """(n x A) int64 value codes of rules, columns in vocab.attributes order.
 
-    Total: an absent attribute or an unseen value encodes as UNK (0).
+    Total: an absent attribute, an unseen value and a literal "UNK" all
+    encode as UNK (0).
     """
-    attrs = vocab.attributes
-    tables = [vocab._index[attr] for attr in attrs]
-    unk = [0] * len(attrs)
-    flat = itertools.chain.from_iterable(
-        map(dict.get, tables, map(rule.attribute_values().get, attrs), unk) for rule in rules
-    )
-    codes = np.fromiter(flat, dtype=np.int64, count=len(rules) * len(attrs))
-    return codes.reshape(len(rules), len(attrs))
+    return encode_codes(factorize(rules), vocab)
 
 
 def encode_rule(rule: ParsedRule, vocab: AttributeVocabulary) -> np.ndarray:
@@ -188,8 +235,14 @@ def attach_cluster_feature(
     sort as strings. The returned matrix is a copy with one column inserted
     at cluster_id's sorted place. Pass ``augmented_vocab`` to reuse a
     vocabulary already extended with cluster labels (e.g. for test rules):
-    a label it lacks encodes as UNK.
+    a label it lacks encodes as UNK. A vocabulary that already holds
+    cluster_id (a rule option of that name) raises RuleforgeError.
     """
+    if CLUSTER_ATTRIBUTE in vocab.values:
+        raise RuleforgeError(
+            f"the rules carry a {CLUSTER_ATTRIBUTE!r} option, which the cluster feature "
+            f"would duplicate: evaluate with --exclude {CLUSTER_ATTRIBUTE}"
+        )
     distinct, inverse = np.unique(labels, return_inverse=True)
     names = [str(label) for label in distinct.tolist()]
     if augmented_vocab is None:

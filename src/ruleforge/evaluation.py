@@ -29,8 +29,8 @@ from .abduction import (
     seed_posteriors,
     select_candidates,
 )
-# predict_distribution and encode_rule are not called here; perfbench/tracing.py
-# wraps them under this module's name
+# predict_distribution, encode_rule and build_vocabulary are not called here;
+# perfbench/tracing.py wraps them under this module's name
 from .bayes import SmoothedModel, fit, predict_distribution, predict_mle_rows
 from .clustering import DistanceMatrix, DistanceParams, agglomerate, build_distance_matrix
 from .encoding import (
@@ -39,8 +39,10 @@ from .encoding import (
     ExclusionList,
     attach_cluster_feature,
     build_vocabulary,
-    encode_corpus,
+    encode_codes,
     encode_rule,
+    factorize,
+    vocabulary_of_codes,
 )
 from .errors import RuleforgeError
 from .parser import ParsedRule
@@ -210,7 +212,8 @@ def loco_evaluate(
         if not cluster_train_only:
             labels = agglomerate(matrix, linkage, cut_height=cut_height, cut_count=cut_count).labels
 
-    raw_values = [rule.attribute_values() for rule in rules]
+    table = factorize(rules)
+    column_of = {key: k for k, key in enumerate(table.keys)}
     accuracies: dict[tuple[str, str], dict[int, float]] = {}
     classifiers = [CLASSIFIER_BAYES]
     if with_clusters:
@@ -223,8 +226,8 @@ def loco_evaluate(
     for fold_index, test_ids in enumerate(folds):
         train_ids = np.setdiff1d(np.arange(n), test_ids, assume_unique=True)
 
-        vocab = build_vocabulary([rules[i] for i in train_ids], exclude)
-        codes = encode_corpus(rules, vocab)
+        vocab = vocabulary_of_codes(table, exclude, train_ids)
+        codes = encode_codes(table, vocab)
         train_codes = codes[train_ids]
         test_codes = codes[test_ids]
         model = fit(
@@ -263,8 +266,10 @@ def loco_evaluate(
             )
 
         for attr_index, attribute in enumerate(vocab.attributes):
-            true_values = [raw_values[i].get(attribute, UNK) for i in test_ids]
-            train_values = [raw_values[i].get(attribute, UNK) for i in train_ids]
+            k = column_of[attribute]
+            strings = np.array([*table.values[k], UNK], dtype=object)[table.codes[:, k]]
+            true_values = strings[test_ids].tolist()
+            train_values = strings[train_ids].tolist()
 
             predictions = predict_mle_rows(model, test_codes, attribute)
             hits = sum(1 for p, t in zip(predictions, true_values) if p == t)

@@ -7,15 +7,22 @@ exceptions are the package's own earlier implementations, kept as references
 for the faster code that replaced them: posterior_loop scores a fitted model
 one record at a time, dense_pair_counts counts every cell of every pair table,
 split_options splits a rule body one character at a time, find_rule looks
-a sid up by parsing the whole file, and merge_sequence agglomerates with
+a sid up by parsing the whole file, merge_sequence agglomerates with
 three n x n arrays (the distances, an upper-triangle mask and a masked work
-copy) where the package keeps one.
+copy) where the package keeps one, and build_vocabulary and encode_corpus
+walk every rule's attribute_values() dict where the package reads the codes
+of one factorization.
 """
 
 from __future__ import annotations
 
+import itertools
+from collections import Counter
+from typing import Sequence
+
 import numpy as np
 
+from ruleforge.encoding import AttributeVocabulary, EmptyCorpus, ExclusionList
 from ruleforge.parser import ParsedRule, UnterminatedOption, parse_ruleset
 
 UNK = "UNK"
@@ -345,3 +352,51 @@ def merge_sequence(matrix, linkage: str) -> list[tuple[int, int, float]]:
         sizes[i] += sizes[j]
         active[j] = False
     return merges
+
+
+# ---------------------------------------------------------------------------
+# vocabulary and encoding, one attribute_values() walk each
+
+
+def build_vocabulary(
+    rules: Sequence[ParsedRule], exclude: ExclusionList | None = None
+) -> AttributeVocabulary:
+    """Learn the attribute/value vocabulary from a corpus of parsed rules."""
+    if not rules:
+        raise EmptyCorpus("cannot build a vocabulary from zero rules")
+    if exclude is None:
+        exclude = ExclusionList()
+    observed: dict[str, set[str]] = {}
+    presence: Counter[str] = Counter()
+    for rule in rules:
+        for attr, value in rule.attribute_values().items():
+            if attr in exclude.excluded_keys:
+                continue
+            observed.setdefault(attr, set()).add(value)
+            presence[attr] += 1
+    names: list[str] = []
+    for attr in sorted(observed):
+        constant = presence[attr] == len(rules) and len(observed[attr]) == 1
+        if exclude.drop_constant and constant:
+            continue
+        names.append(attr)
+    values = {
+        attr: (UNK,) + tuple(sorted(v for v in observed[attr] if v != UNK))
+        for attr in names
+    }
+    return AttributeVocabulary(attributes=tuple(names), values=values)
+
+
+def encode_corpus(rules: Sequence[ParsedRule], vocab: AttributeVocabulary) -> np.ndarray:
+    """(n x A) int64 value codes of rules, columns in vocab.attributes order.
+
+    Total: an absent attribute or an unseen value encodes as UNK (0).
+    """
+    attrs = vocab.attributes
+    tables = [vocab._index[attr] for attr in attrs]
+    unk = [0] * len(attrs)
+    flat = itertools.chain.from_iterable(
+        map(dict.get, tables, map(rule.attribute_values().get, attrs), unk) for rule in rules
+    )
+    codes = np.fromiter(flat, dtype=np.int64, count=len(rules) * len(attrs))
+    return codes.reshape(len(rules), len(attrs))

@@ -442,6 +442,41 @@ class TestOverflowingWeights:
         assert line == "ERROR ruleforge distances overflow with --w1 1e+308 and --w2 1e+308"
 
 
+class TestClusterIdOption:
+    """A rules option named cluster_id would shadow the cluster feature's column."""
+
+    @pytest.fixture
+    def clashing_corpus(self, tmp_path, sample_corpus_path):
+        lines = sample_corpus_path.read_text(encoding="utf-8").splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("alert"))
+        lines[at] = lines[at].replace("sid:", "cluster_id:7; sid:", 1)
+        path = tmp_path / "clash.rules"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return str(path)
+
+    @pytest.mark.parametrize("form", ["argv", "config"])
+    def test_with_clusters_exits_2(self, tmp_path, capsys, clashing_corpus, form):
+        argv = ["evaluate", "--rules", clashing_corpus, "--folds", "3"]
+        if form == "argv":
+            argv += ["--with-clusters"]
+        else:
+            config = tmp_path / "forge.conf"
+            config.write_text("with_clusters = true\n", encoding="utf-8")
+            argv += ["--config", str(config)]
+        capsys.readouterr()
+        assert run_as_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("ERROR ruleforge ")
+        assert "--exclude cluster_id" in line
+
+    def test_excluding_the_option_runs(self, capsys, clashing_corpus):
+        argv = ["evaluate", "--rules", clashing_corpus, "--folds", "3", "--with-clusters"]
+        assert run(argv + ["--exclude", "cluster_id"]) == 0
+        assert "bayes+cluster" in capsys.readouterr().out
+
+
 class TestEvaluate:
     def test_csv_report(self, capsys, corpus):
         code = run(["evaluate", "--rules", corpus, "--folds", "3"])

@@ -137,6 +137,12 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError):
             DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
 
+    def test_nearly_symmetric_rejected(self):
+        # agglomerate reads exact symmetry: on this matrix it would merge (1, 0),
+        # naming a cluster by its larger member
+        with pytest.raises(ValueError, match="symmetric"):
+            DistanceMatrix(np.array([[0, 2, 3], [2 - 1e-9, 0, 4], [3, 4, 0]]))
+
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     def test_non_finite_entry_rejected(self, bad):
         # an infinite pair once merged a slot with itself: (0, 0, inf)

@@ -2,14 +2,19 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from ruleforge import (
     CLUSTER_ATTRIBUTE,
     UNK,
+    VALUE_JOIN,
     AttributeVocabulary,
     EmptyCorpus,
     EmptyDataset,
     ExclusionList,
+    RuleforgeError,
     UnknownAttribute,
     attach_cluster_feature,
     build_vocabulary,
@@ -18,10 +23,85 @@ from ruleforge import (
     fit,
     parse_rule,
 )
+from ruleforge.encoding import encode_codes, factorize, vocabulary_of_codes
+from ruleforge.parser import ParsedRule, RuleHeader, RuleOption
 
 
 def rule(text):
     return parse_rule(text)
+
+
+class TestFactorize:
+    def test_codes_in_first_seen_order_with_minus_one_for_absent(self):
+        rules = [
+            rule("alert tcp any any -> any any (flow:b; nocase; sid:1;)"),
+            rule("alert udp any any -> any any (flow:UNK; sid:2;)"),
+            rule("alert tcp any any -> any any (flow:b; sid:3;)"),
+        ]
+        table = factorize(rules)
+        assert list(table.keys) == sorted(table.keys)
+        assert table.codes.shape == (3, len(table.keys))
+        assert table.codes.dtype == np.int32
+        flow = table.keys.index("flow")
+        assert table.values[flow] == ("b", UNK)  # a literal UNK is a value here
+        assert table.codes[:, flow].tolist() == [0, 1, 0]
+        nocase = table.keys.index("nocase")
+        assert table.values[nocase] == ("",)  # a flag is present
+        assert table.codes[:, nocase].tolist() == [0, -1, -1]
+        protocol = table.keys.index("protocol")
+        assert table.values[protocol] == ("tcp", "udp")
+        assert table.codes[:, protocol].tolist() == [0, 1, 0]
+
+
+# Small alphabets, so values repeat, keys collide and constants occur. Values
+# include the literal "UNK" and the flag value "", and a key drawn twice in one
+# rule is flattened with VALUE_JOIN.
+KEYS = ["flow", "content", "nocase", "classtype", "sid", "msg", CLUSTER_ATTRIBUTE]
+VALUES = ["", UNK, "a", "b", "B", "10", "2", "a" + VALUE_JOIN + "b", "\u00e9"]
+HEADER_VALUES = st.sampled_from(["any", UNK, "80", "$HOME_NET"])
+HEADERS = st.builds(
+    RuleHeader,
+    st.just("alert"),
+    st.sampled_from(["tcp", "udp", UNK]),
+    HEADER_VALUES,
+    HEADER_VALUES,
+    st.just("->"),
+    HEADER_VALUES,
+    HEADER_VALUES,
+)
+RULES = st.lists(
+    st.builds(
+        lambda header, pairs: ParsedRule(
+            header, tuple(RuleOption(k, v, i) for i, (k, v) in enumerate(pairs))
+        ),
+        HEADERS,
+        st.lists(st.tuples(st.sampled_from(KEYS), st.sampled_from(VALUES)), max_size=6),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rules=RULES, data=st.data())
+def test_codes_give_the_dict_walks_vocabulary_and_encoding(rules, data):
+    rows = data.draw(
+        st.lists(st.integers(0, len(rules) - 1), min_size=1, unique=True).map(sorted)
+    )
+    exclude = ExclusionList(
+        excluded_keys=frozenset(data.draw(st.sets(st.sampled_from(KEYS + ["protocol"])))),
+        drop_constant=data.draw(st.booleans()),
+    )
+    table = factorize(rules)
+    vocab = vocabulary_of_codes(table, exclude, np.array(rows))
+    expected = oracles.build_vocabulary([rules[i] for i in rows], exclude)
+    assert vocab.attributes == expected.attributes
+    assert vocab.values == expected.values
+    codes = oracles.encode_corpus(rules, vocab)
+    assert np.array_equal(encode_codes(table, vocab), codes)
+    assert np.array_equal(encode_corpus(rules, vocab), codes)
+    whole = build_vocabulary(rules, exclude)
+    assert whole.values == oracles.build_vocabulary(rules, exclude).values
 
 
 class TestBuildVocabulary:
@@ -168,8 +248,10 @@ class TestEncodeRule:
 
     def test_empty_corpus_gives_zero_rows(self, sample_rules):
         vocab = build_vocabulary(sample_rules)
+        assert factorize([]).codes.shape == (0, 0)
         codes = encode_corpus([], vocab)
         assert codes.shape == (0, len(vocab.attributes))
+        assert codes.dtype == np.int64
         with pytest.raises(EmptyDataset):
             fit(codes, vocab)
 
@@ -239,3 +321,14 @@ class TestAttachClusterFeature:
         )
         assert again is augmented
         assert records[0, augmented.attributes.index(CLUSTER_ATTRIBUTE)] == 0  # unseen -> UNK
+
+    def test_corpus_with_a_cluster_id_option_rejected(self):
+        # its option's column would sit beside the label column under one name
+        rules = [
+            rule("alert tcp any any -> any any (flow:a; cluster_id:7; sid:1;)"),
+            rule("alert udp any any -> any any (flow:b; sid:2;)"),
+        ]
+        vocab = build_vocabulary(rules, ExclusionList(drop_constant=False))
+        codes = encode_corpus(rules, vocab)
+        with pytest.raises(RuleforgeError, match="--exclude cluster_id"):
+            attach_cluster_feature(codes, np.array([0, 1]), vocab)
