@@ -18,7 +18,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .bayes import (
     PosteriorDistribution,

@@ -38,7 +38,7 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
+from ._numpy import np
 
 from .encoding import UNK, AttributeVocabulary, UnknownAttribute
 from .errors import RuleforgeError

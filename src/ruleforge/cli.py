@@ -552,8 +552,8 @@ def _cmd_cluster(args) -> int:
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["sid", "cluster_id"])
     labels = assignment.labels.tolist()
-    for index, (rule, label) in enumerate(zip(rules, labels)):
-        writer.writerow([rule.sid if rule.sid is not None else index, label])
+    for rule, label in zip(rules, labels):
+        writer.writerow(["" if rule.sid is None else rule.sid, label])
     _write_output(args, buffer.getvalue())
     LOG.info(
         "command=cluster rules=%d clusters=%d linkage=%s", len(rules), max(labels) + 1, args.linkage

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .encoding import factorize
 from .errors import RuleforgeError

@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .errors import RuleforgeError
 from .parser import IDENTITY_KEYS, ParsedRule

@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
+from ._numpy import np
 
 from .abduction import (
     SeedObservation,

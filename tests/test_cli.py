@@ -415,6 +415,16 @@ class TestCluster:
         labels = {int(row.split(",")[1]) for row in lines[1:]}
         assert labels == {0, 1, 2}
 
+    def test_rule_without_sid_has_an_empty_sid_cell(self, tmp_path, capsys):
+        path = tmp_path / "nosid.rules"
+        path.write_text(
+            'alert tcp any any -> any 80 (msg:"a"; content:"x";)\n'
+            'alert tcp any any -> any 81 (msg:"b"; content:"y"; sid:0;)\n',
+            encoding="utf-8",
+        )
+        assert run(["cluster", "--rules", str(path), "--cut-count", "1"]) == 0
+        assert capsys.readouterr().out == "sid,cluster_id\n,0\n0,0\n"
+
     def test_invalid_cut(self, corpus):
         assert run(["cluster", "--rules", corpus, "--cut-count", "99"]) == 2
 

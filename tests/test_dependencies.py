@@ -29,3 +29,12 @@ def test_imports_are_relative_numpy_or_stdlib(path):
 
 def test_the_package_is_found():
     assert (PACKAGE / "__init__.py").is_file()
+
+
+@pytest.mark.parametrize(
+    "path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "_numpy.py"}), ids=lambda p: p.name
+)
+def test_only_the_proxy_imports_numpy(path):
+    """Every other module reads numpy through ruleforge._numpy, so it loads on first use."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    assert "numpy" not in set(imported_modules(tree)), f"{path.name} imports numpy"
