@@ -13,19 +13,18 @@ vocabulary size instead, which makes each conditional a proper distribution.
 Scoring runs in log space so long evidence chains cannot underflow.
 
 One kernel, posterior_log_scores, scores an (m x A) matrix of value codes for
-one target: per evidence attribute it gathers the pair-table rows of all m
-records at once. predict_distribution is its one-row call, and
-predict_mle_rows takes the most likely value of every row.
+one target: per evidence attribute it counts the (evidence, target)
+co-occurrences the m records need and adds their log conditionals.
+predict_distribution is its one-row call, and predict_mle_rows takes the most
+likely value of every row.
 
 The model is its sufficient statistics: the sorted distinct rows of the
 (n x A) code matrix, each with its multiplicity. Every marginal and pairwise
-count is a sum over those rows (Moore & Lee, "Cached Sufficient Statistics
-for Efficient Machine Learning with Large Datasets", JAIR 8, 1998), so the
-two arrays are what a model file stores, and fit and load both derive the
-counts from them with _count. The pairwise counts are kept sparse: per
-attribute pair, only the nonzero cells, as an (nnz x 3) array of
-[row, col, count] in row-major order. CountTable.pair builds one dense table
-from them when a caller asks, so at most one is alive at a time.
+count is a weighted sum over those rows (Moore & Lee, "Cached Sufficient
+Statistics for Efficient Machine Learning with Large Datasets", JAIR 8, 1998),
+so the two arrays are all a model keeps and all a model file stores. fit and
+load only sort and merge the rows (_distinct_rows); each count is a weighted
+bincount over the stored columns, taken when a caller asks for it.
 
 A model file is the compact JSON text json.dumps(payload, sort_keys=True)
 gives, plus a newline.
@@ -59,45 +58,78 @@ class EmptyDataset(RuleforgeError):
 
 @dataclass
 class CountTable:
-    """Marginal and pairwise co-occurrence counts, and the rows they count.
+    """The training rows as the model keeps them, and the counts taken from them.
 
-    rows holds the sorted distinct rows of the (n x A) code matrix and
-    multiplicities how often each occurs; the model file stores those two,
-    and the counts are recounted from them (see _count). pair_counts holds,
-    per unordered attribute pair (a < b), the nonzero cells of the
-    (|V_a| x |V_b|) co-occurrence table as an (nnz x 3) int64 array of
-    [row, col, count], row-major with no cell repeated. pair() builds the
-    dense table in either direction. Row sums of each pair table reproduce the
-    first attribute's marginals, and every marginal sums to num_samples.
+    rows holds the sorted distinct rows of the (n x A) code matrix, columns in
+    vocab.attributes order, and multiplicities how often each occurs; they sum
+    to num_samples. rows is stored column-major, so each attribute's column
+    is a contiguous view. marginal() and pair() count from those columns on
+    every call; nothing else is kept.
     """
 
-    marginal_counts: dict[str, np.ndarray]
-    pair_counts: dict[tuple[str, str], np.ndarray]
-    num_samples: int
     rows: np.ndarray
     multiplicities: np.ndarray
+    num_samples: int
+    vocab: AttributeVocabulary
 
-    def pair(self, attr_a: str, attr_b: str) -> np.ndarray:
-        """Co-occurrence matrix indexed [value of attr_a, value of attr_b].
-
-        A new dense table, built from the stored cells on every call.
-        """
-        if (attr_a, attr_b) in self.pair_counts:
-            rows, cols, counts = self.pair_counts[(attr_a, attr_b)].T
-        elif (attr_b, attr_a) in self.pair_counts:
-            cols, rows, counts = self.pair_counts[(attr_b, attr_a)].T
-        else:
-            raise UnknownAttribute(f"no counts for attribute pair ({attr_a!r}, {attr_b!r})")
-        shape = (len(self.marginal(attr_a)), len(self.marginal(attr_b)))
-        table = np.zeros(shape, dtype=np.int64)
-        table[rows, cols] = counts
-        return table
+    def column(self, attribute: str) -> np.ndarray:
+        """The stored rows' codes for attribute, a view of rows."""
+        try:
+            return self.rows[:, self.vocab.attributes.index(attribute)]
+        except ValueError:
+            raise UnknownAttribute(f"no counts for attribute {attribute!r}") from None
 
     def marginal(self, attribute: str) -> np.ndarray:
-        try:
-            return self.marginal_counts[attribute]
-        except KeyError:
-            raise UnknownAttribute(f"no counts for attribute {attribute!r}") from None
+        """How many training rows hold each value of attribute: a new int64 array."""
+        size = self.vocab.size(attribute)
+        return np.bincount(self.column(attribute), self.multiplicities, size).astype(np.int64)
+
+    def pair(self, attr_a: str, attr_b: str) -> np.ndarray:
+        """Co-occurrence matrix indexed [value of attr_a, value of attr_b]: a new int64 array.
+
+        pair(a, a) is the diagonal matrix of marginal(a).
+        """
+        table, _ = self.cooccurrences(attr_a, attr_b, np.arange(self.vocab.size(attr_a)))
+        return table.astype(np.int64)
+
+    def cooccurrences(
+        self, evidence: str, target: str, codes: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(table, slots): the target's value counts among rows with each evidence code.
+
+        table is float64 with one row of |V_target| counts per slot, and
+        table[slots[i]] counts the training rows whose evidence value is
+        codes[i]. The choice is made from the input's size: with fewer codes
+        than evidence values, each code gets a slot and every other evidence
+        value one spare slot, dropped after counting; otherwise each evidence
+        value is its own slot. Either way it is one weighted bincount over all
+        stored rows, and the table has min(len(codes), |V_evidence|) rows.
+        """
+        evidence_col, target_col = self.column(evidence), self.column(target)
+        size_e, size_t = self.vocab.size(evidence), self.vocab.size(target)
+        height = min(len(codes), size_e)
+        if len(codes) < size_e:
+            slot = np.full(size_e, height, dtype=np.intp)
+            slot[codes] = np.arange(height)
+        else:
+            slot = np.arange(size_e)
+        cells = slot[evidence_col] * size_t + target_col
+        table = np.bincount(cells, self.multiplicities, (height + 1) * size_t)[: height * size_t]
+        return table.reshape(height, size_t), slot[codes]
+
+    @property
+    def pair_counts(self) -> dict[tuple[str, str], np.ndarray]:
+        """Per attribute pair a < b, pair(a, b)'s nonzero cells as [row, col, count] rows.
+
+        Derived on each read, and never read by the library: it is kept for the
+        bayes.pair_cells gauge of the benchmark tracer (perfbench/tracing.py).
+        """
+        cells = {}
+        for a, b in itertools.combinations(self.vocab.attributes, 2):
+            table = self.pair(a, b)
+            nonzero = np.nonzero(table)
+            cells[(a, b)] = np.column_stack((*nonzero, table[nonzero]))
+        return cells
 
 
 @dataclass
@@ -134,10 +166,14 @@ class SmoothedModel:
 
     counts: CountTable
     alpha: float
-    vocab: AttributeVocabulary
     smoothing: str = "corpus"
     skip_unk_evidence: bool = False
     with_prior: bool = False
+
+    @property
+    def vocab(self) -> AttributeVocabulary:
+        """The vocabulary the stored rows are coded in: the CountTable's own."""
+        return self.counts.vocab
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as handle:
@@ -209,11 +245,9 @@ class SmoothedModel:
         weights = _int_array(multiplicities)
         if (weights < 1).any() or sum(multiplicities) != num_samples:
             raise ValueError("multiplicities must be >= 1 and sum to num_samples")
-        counts = _count(codes, weights, vocab)
         return cls(
-            counts=counts,
+            counts=_distinct_rows(codes, weights, vocab),
             alpha=alpha,
-            vocab=vocab,
             smoothing=smoothing,
             skip_unk_evidence=_json_scalar(payload, "skip_unk_evidence", bool),
             with_prior=_json_scalar(payload, "with_prior", bool),
@@ -246,24 +280,11 @@ def _int_array(items) -> np.ndarray:
     return np.array(items, dtype=np.int64)
 
 
-def _count_cells(
-    col_a: np.ndarray, col_b: np.ndarray, weights: np.ndarray, size_a: int, size_b: int
-) -> np.ndarray:
-    """Nonzero co-occurrence cells of two weighted code columns, [row, col, count] row-major."""
-    table = np.bincount(col_a * size_b + col_b, weights, minlength=size_a * size_b)
-    flat = np.flatnonzero(table)
-    cells = np.empty((len(flat), 3), dtype=np.int64)
-    np.divmod(flat, size_b, out=(cells[:, 0], cells[:, 1]))
-    cells[:, 2] = table[flat]
-    return cells
-
-
-def _count(rows: np.ndarray, multiplicities: np.ndarray, vocab: AttributeVocabulary) -> CountTable:
-    """The counts of an (m x A) code matrix whose row i occurs multiplicities[i] times.
+def _distinct_rows(rows: np.ndarray, weights: np.ndarray, vocab: AttributeVocabulary) -> CountTable:
+    """The CountTable of an (m x A) code matrix whose row i occurs weights[i] times.
 
     Repeated rows are merged and the rest sorted, so the same multiset of
-    rows gives the same CountTable in any order. Each pair is counted on its
-    own and only its nonzero cells are kept.
+    rows gives the same CountTable in any order.
     """
     # Sort the rows lexicographically and merge each run of equal rows. lexsort
     # sorts by its last key first, hence the reversed columns; it is several
@@ -273,25 +294,12 @@ def _count(rows: np.ndarray, multiplicities: np.ndarray, vocab: AttributeVocabul
     rows = rows[order]
     starts = np.ones(len(rows), dtype=bool)
     np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
-    distinct = rows[starts]
-    merged = np.add.reduceat(multiplicities[order], np.flatnonzero(starts))
-    weights = merged.astype(np.float64)
-    attrs = vocab.attributes
-    columns = dict(zip(attrs, distinct.T))
-    marginals = {
-        a: np.bincount(columns[a], weights, minlength=vocab.size(a)).astype(np.int64)
-        for a in attrs
-    }
-    pair_counts = {
-        (a, b): _count_cells(columns[a], columns[b], weights, vocab.size(a), vocab.size(b))
-        for a, b in itertools.combinations(attrs, 2)
-    }
+    merged = np.add.reduceat(weights[order], np.flatnonzero(starts))
     return CountTable(
-        marginal_counts=marginals,
-        pair_counts=pair_counts,
-        num_samples=int(merged.sum()),
-        rows=distinct,
+        rows=np.asfortranarray(rows[starts]),
         multiplicities=merged,
+        num_samples=int(merged.sum()),
+        vocab=vocab,
     )
 
 
@@ -304,7 +312,7 @@ def fit(
     skip_unk_evidence: bool = False,
     with_prior: bool = False,
 ) -> SmoothedModel:
-    """Count marginals and pairwise co-occurrences over encode_corpus's (n x A) codes."""
+    """The model of encode_corpus's (n x A) codes: their distinct rows and multiplicities."""
     if len(codes) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
     if alpha <= 0:
@@ -312,9 +320,8 @@ def fit(
     if smoothing not in SMOOTHING_MODES:
         raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
     return SmoothedModel(
-        counts=_count(codes, np.ones(len(codes), dtype=np.int64), vocab),
+        counts=_distinct_rows(codes, np.ones(len(codes), dtype=np.int64), vocab),
         alpha=alpha,
-        vocab=vocab,
         smoothing=smoothing,
         skip_unk_evidence=skip_unk_evidence,
         with_prior=with_prior,
@@ -333,15 +340,17 @@ def conditional_probability(
     """P(target value | given value) under the smoothed estimator.
 
     target and given are (attribute, value string) pairs; unseen values map
-    to UNK, unknown attributes raise UnknownAttribute.
+    to UNK, unknown attributes raise UnknownAttribute. The two may name the
+    same attribute: the joint count is then the marginal for equal values
+    and 0 otherwise.
     """
     target_attr, target_value = target
     given_attr, given_value = given
     j = model.vocab.index_of(target_attr, target_value)
     i = model.vocab.index_of(given_attr, given_value)
-    pair = model.counts.pair(given_attr, target_attr)
-    joint = int(pair[i, j])
-    marginal = int(model.counts.marginal(given_attr)[i])
+    weights, holds_given = model.counts.multiplicities, model.counts.column(given_attr) == i
+    joint = int(weights[holds_given & (model.counts.column(target_attr) == j)].sum())
+    marginal = int(weights[holds_given].sum())
     mass = _denominator_mass(model, target_attr)
     return (joint + model.alpha) / (marginal + model.alpha * mass)
 
@@ -366,18 +375,10 @@ def posterior_log_scores(model: SmoothedModel, codes: np.ndarray, target: str) -
         if attr == target:
             continue
         column = codes[:, k]
-        pair, marginal = model.counts.pair(attr, target), model.counts.marginal(attr)
-        # The logs are taken over the smaller of the gathered rows and the whole
-        # table, whose rows are gathered after. Each element is the same float
-        # operation on the same count either way.
-        gather_first = len(codes) < len(marginal)
-        if gather_first:
-            pair, marginal = pair[column], marginal[column]
-        numerators = pair.astype(np.float64) + model.alpha
-        denominators = marginal.astype(np.float64) + model.alpha * mass
-        terms = np.log(numerators) - np.log(denominators)[:, None]
-        if not gather_first:
-            terms = terms[column]
+        table, slots = model.counts.cooccurrences(attr, target, column)
+        numerators = table + model.alpha
+        denominators = table.sum(axis=1) + model.alpha * mass
+        terms = (np.log(numerators) - np.log(denominators)[:, None])[slots]
         if model.skip_unk_evidence:
             np.add(log_scores, terms, out=log_scores, where=(column != 0)[:, None])
         else:

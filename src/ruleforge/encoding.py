@@ -13,9 +13,9 @@ distance matrix reads them as they are.
 
 A corpus encodes as one (n x A) int64 code matrix: row i is rules[i], the
 columns follow vocab.attributes, and each code indexes that attribute's
-values (0 is UNK). It is the one encoded form: fit counts its columns, the
-posterior kernel scores its rows, and the cluster feature is one more column,
-built from the int array of cluster labels that clustering returns.
+values (0 is UNK). It is the one encoded form: fit keeps its distinct rows,
+the posterior kernel scores its rows, and the cluster feature is one more
+column, built from the int array of cluster labels that clustering returns.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ that never misses such a line, and returns the same rule the first match over
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import RuleforgeError
 
@@ -122,7 +122,6 @@ class ParsedRule:
     rev: int | None = None
     msg: str | None = None
     references: tuple[str, ...] = ()
-    raw_text: str = field(default="", compare=False)
 
     def option_values(self) -> dict[str, str]:
         """Flattened option values: repeated keys joined with VALUE_JOIN."""
@@ -278,7 +277,6 @@ def parse_rule(text: str) -> ParsedRule:
         rev=rev,
         msg=msg,
         references=tuple(references),
-        raw_text=text,
     )
 
 

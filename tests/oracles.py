@@ -125,29 +125,43 @@ def posterior_loop(model, observation: dict[str, int], target: str):
 
     The per-record loop that predict_distribution ran before scoring moved to
     a batched kernel, kept operation for operation, so the kernel's rows must
-    equal it bit for bit.
+    equal it bit for bit. It counts for itself, one stored row at a time from
+    model.counts.rows and multiplicities, so it shares no counting code with
+    the kernel.
     """
     vocab = model.vocab
     values = vocab.values[target]
+    t = vocab.attributes.index(target)
+    stored = list(zip(model.counts.rows.tolist(), model.counts.multiplicities.tolist()))
+    num_samples = sum(multiplicity for _, multiplicity in stored)
+
+    def target_counts(k: int | None, vi: int | None) -> list[int]:
+        """Per target value, the rows whose attribute k holds code vi (all rows if k is None)."""
+        counts = [0] * len(values)
+        for row, multiplicity in stored:
+            if k is None or row[k] == vi:
+                counts[row[t]] += multiplicity
+        return counts
+
     log_scores = np.zeros(len(values), dtype=np.float64)
     if model.smoothing == "corpus":
-        mass = model.counts.num_samples
+        mass = num_samples
     else:
         mass = len(values)
-    for attr in vocab.attributes:
+    for k, attr in enumerate(vocab.attributes):
         if attr == target:
             continue
         vi = observation.get(attr, 0)
         if model.skip_unk_evidence and vi == 0:
             continue
-        pair = model.counts.pair(attr, target)
-        numerators = pair[vi, :].astype(np.float64) + model.alpha
-        denominator = float(model.counts.marginal(attr)[vi]) + model.alpha * mass
+        joint = target_counts(k, vi)
+        numerators = np.array(joint, dtype=np.float64) + model.alpha
+        denominator = float(sum(joint)) + model.alpha * mass
         log_scores += np.log(numerators) - np.log(denominator)
     if model.with_prior:
-        marginal_j = model.counts.marginal(target).astype(np.float64)
+        marginal_j = np.array(target_counts(None, None), dtype=np.float64)
         log_scores += np.log(marginal_j + model.alpha) - np.log(
-            model.counts.num_samples + model.alpha * len(values)
+            num_samples + model.alpha * len(values)
         )
     shifted = np.exp(log_scores - log_scores.max())
     return log_scores, shifted / shifted.sum()

@@ -52,11 +52,10 @@ class TestConditionalProbability:
         assert got == pytest.approx(1 / 14, rel=1e-12)
 
     def test_every_pair_matches_recount(self, ten_rule_corpus):
+        """Every attribute pair, an attribute with itself included."""
         model, vocab = fit_dicts(ten_rule_corpus)
         for target_attr in vocab.attributes:
             for evidence_attr in vocab.attributes:
-                if target_attr == evidence_attr:
-                    continue
                 for target_value in vocab.values[target_attr]:
                     for evidence_value in vocab.values[evidence_attr]:
                         got = conditional_probability(
@@ -201,6 +200,8 @@ class TestPredictDistribution:
         attrs = vocab.attributes
         for attr in attrs:
             assert model.counts.marginal(attr).sum() == n
+            diagonal = np.diag(model.counts.marginal(attr))
+            assert np.array_equal(model.counts.pair(attr, attr), diagonal)
         for i, a in enumerate(attrs):
             for b in attrs[i + 1 :]:
                 pair = model.counts.pair(a, b)
@@ -255,6 +256,28 @@ class TestBatchedPosterior:
                 assert predict_mle_rows(model, codes, target) == [
                     predict_mle(predict_distribution(model, r, target)) for r in codes
                 ]
+
+    @pytest.mark.parametrize("alpha, kwargs", MODEL_CONFIGS)
+    def test_blocks_on_both_sides_of_the_size_choice(self, alpha, kwargs):
+        """One row, fewer rows than any evidence vocabulary, more than every one."""
+        rng = np.random.default_rng(21)
+        corpus = [
+            {f"k{j}": f"v{rng.integers(4 + 3 * j)}" for j in range(4) if rng.random() < 0.9}
+            for _ in range(80)
+        ]
+        model, vocab = fit_dicts(corpus, alpha=alpha, **kwargs)
+        sizes = [vocab.size(a) for a in vocab.attributes]
+        assert min(sizes) >= 4
+        for m in (1, min(sizes) - 1, max(sizes) + 1):
+            block = random_codes(rng, vocab, m)
+            block[m // 2] = block[-1]  # two rows share every code when m > 1
+            for target in vocab.attributes:
+                scores = posterior_log_scores(model, block, target)
+                for record, row in zip(block, scores):
+                    want, _ = oracles.posterior_loop(
+                        model, dict(zip(vocab.attributes, record.tolist())), target
+                    )
+                    assert row.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize(
         "value, winner", [("$HOME_NET", "$HOME_NET"), ("80", "80"), ("smb", UNK)]

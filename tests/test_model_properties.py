@@ -126,7 +126,7 @@ def test_model_file_round_trips(corpus, config, shuffle, tmp_path_factory):
     assert loaded.to_json() == text
     assert loaded.counts.num_samples == model.counts.num_samples == len(corpus)
     for a in vocab.attributes:
-        assert np.array_equal(loaded.counts.marginal_counts[a], model.counts.marginal_counts[a])
+        assert np.array_equal(loaded.counts.marginal(a), model.counts.marginal(a))
     assert loaded.counts.pair_counts.keys() == model.counts.pair_counts.keys()
     for pair, cells in model.counts.pair_counts.items():
         assert np.array_equal(loaded.counts.pair_counts[pair], cells)

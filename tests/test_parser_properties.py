@@ -109,7 +109,6 @@ def test_find_rule_agrees_with_the_whole_file_parse(text, sid):
     rule, errors = find_rule(text, sid)
     expected = oracles.find_rule(text, sid)
     assert rule == expected
-    assert (rule and rule.raw_text) == (expected and expected.raw_text)
     # the errors reported are some of the file's, in file order
     assert errors == [error for error in parse_ruleset(text)[1] if error in errors]
 
