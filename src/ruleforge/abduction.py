@@ -31,7 +31,7 @@ from .bayes import (
 from .encoding import UNK, AttributeVocabulary, encode_rule
 from .errors import RuleforgeError
 from .parser import (
-    HEADER_ATTRIBUTES,
+    HEADER_FIELDS,
     VALUE_JOIN,
     ParsedRule,
     RuleOption,
@@ -40,14 +40,6 @@ from .parser import (
 
 DEFAULT_LIMIT = 10_000
 DEFAULT_SID_BASE = 250_001
-
-_HEADER_FIELD = {
-    "protocol": "protocol",
-    "source_ip": "src_addr",
-    "source_port": "src_port",
-    "target_ip": "dst_addr",
-    "target_port": "dst_port",
-}
 
 
 class CombinationOverflow(RuleforgeError):
@@ -219,7 +211,7 @@ def build_candidate_graph(
         for value in candidates.get(attr, ()):
             if value == seed_value or value in layer:
                 continue
-            if value == UNK and attr in HEADER_ATTRIBUTES:
+            if value == UNK and attr in HEADER_FIELDS:
                 continue
             layer.append(value)
         layers[attr] = tuple(layer)
@@ -235,14 +227,14 @@ def _apply_combination(
 ) -> tuple[ParsedRule, dict[str, str]]:
     """Build the rule for one combination and record per-attribute changes."""
     changes: dict[str, str] = {}
-    header = seed_rule.header
+    header_fields: dict[str, str] = {}
     for attr, value in assignment.items():
-        if attr not in _HEADER_FIELD:
+        if attr not in HEADER_FIELDS:
             continue
         if value == seed_values[attr]:
             changes[attr] = "kept"
         else:
-            header = replace(header, **{_HEADER_FIELD[attr]: value})
+            header_fields[HEADER_FIELDS[attr]] = value
             changes[attr] = "replaced"
 
     new_options: list[RuleOption] = []
@@ -263,10 +255,10 @@ def _apply_combination(
             if key not in replaced_done:
                 replaced_done.add(key)
                 for part in _split_composite(value):
-                    new_options.append(RuleOption(key=key, value=part, ordinal=0))
+                    new_options.append(RuleOption(key=key, value=part))
     # attributes the seed lacked, now given a value (insertion path)
     for attr in sorted(assignment):
-        if attr in _HEADER_FIELD or attr in changes:
+        if attr in HEADER_FIELDS or attr in changes:
             continue
         value = assignment[attr]
         if value == UNK:
@@ -274,19 +266,9 @@ def _apply_combination(
             continue
         changes[attr] = "inserted"
         for part in _split_composite(value):
-            new_options.append(RuleOption(key=attr, value=part, ordinal=0))
-    renumbered = tuple(
-        RuleOption(key=o.key, value=o.value, ordinal=i) for i, o in enumerate(new_options)
-    )
-    rule = ParsedRule(
-        header=header,
-        options=renumbered,
-        sid=None,
-        rev=None,
-        msg=None,
-        references=(),
-    )
-    return rule, changes
+            new_options.append(RuleOption(key=attr, value=part))
+    header = replace(seed_rule.header, **header_fields)
+    return ParsedRule(header=header, options=tuple(new_options)), changes
 
 
 def enumerate_rules(

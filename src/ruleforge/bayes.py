@@ -342,17 +342,16 @@ def conditional_probability(
     target and given are (attribute, value string) pairs; unseen values map
     to UNK, unknown attributes raise UnknownAttribute. The two may name the
     same attribute: the joint count is then the marginal for equal values
-    and 0 otherwise.
+    and 0 otherwise. Both counts come from the posterior kernel's
+    cooccurrences: the given value's row of target counts, and its sum.
     """
     target_attr, target_value = target
     given_attr, given_value = given
     j = model.vocab.index_of(target_attr, target_value)
     i = model.vocab.index_of(given_attr, given_value)
-    weights, holds_given = model.counts.multiplicities, model.counts.column(given_attr) == i
-    joint = int(weights[holds_given & (model.counts.column(target_attr) == j)].sum())
-    marginal = int(weights[holds_given].sum())
+    table, _ = model.counts.cooccurrences(given_attr, target_attr, np.array([i]))
     mass = _denominator_mass(model, target_attr)
-    return (joint + model.alpha) / (marginal + model.alpha * mass)
+    return float((table[0, j] + model.alpha) / (table[0].sum() + model.alpha * mass))
 
 
 def posterior_log_scores(model: SmoothedModel, codes: np.ndarray, target: str) -> np.ndarray:

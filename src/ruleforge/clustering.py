@@ -19,7 +19,7 @@ lowest index pair. A cut's labels are one int array over the rules.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ._numpy import np
@@ -88,7 +88,6 @@ class ClusterAssignment:
 
     labels: np.ndarray
     merge_history: tuple[tuple[int, int, float], ...]
-    cut: dict[str, float] = field(default_factory=dict)
 
     def clusters(self) -> dict[int, list[int]]:
         """Label -> its rows, ascending."""
@@ -293,7 +292,6 @@ def agglomerate(
     merges = _merge_sequence(matrix, linkage)
     if cut_count is not None:
         applied = merges[: n - cut_count]
-        cut = {"count": float(cut_count)}
     else:
         # heights are non-decreasing for these linkages, so the cut is a prefix
         applied = []
@@ -301,6 +299,5 @@ def agglomerate(
             if merge[2] > cut_height:
                 break
             applied.append(merge)
-        cut = {"height": float(cut_height)}
     labels = _labels_from_prefix(n, applied)
-    return ClusterAssignment(labels=labels, merge_history=tuple(merges), cut=cut)
+    return ClusterAssignment(labels=labels, merge_history=tuple(merges))

@@ -110,17 +110,6 @@ class AttributeVocabulary:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "AttributeVocabulary":
-        payload = json.loads(text)
-        if payload.get("format") != VOCABULARY_FORMAT:
-            raise RuleforgeError("not a vocabulary file")
-        attrs = payload["attributes"]
-        return cls(
-            attributes=tuple(sorted(attrs)),
-            values={a: tuple(vals) for a, vals in attrs.items()},
-        )
-
     def sha256(self) -> str:
         canonical = json.dumps(
             {a: list(self.values[a]) for a in self.attributes},

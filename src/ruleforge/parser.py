@@ -9,23 +9,28 @@ round trip lossless: ``parse_rule(serialize_rule(parse_rule(text)))`` equals
 
 Identity metadata (``sid``, ``rev``, ``msg``, ``reference``) is split off from
 the remaining options so downstream code can treat what is left as the rule's
-antecedents.
+antecedents. The options keep the order of the rule text: ``ParsedRule.options``
+lists them as the body does, identity options left out.
 
-The body is split into options by one compiled regex, matched once per option,
-rather than by a Python loop over its characters. It finds the same segments
-and offsets, and raises at the same offset, so the rule syntax accepted and
-the rules produced are unchanged.
+Physical lines are joined into logical ones by one function, _logical_lines:
+a line ending in a backslash continues on the next, and ``#`` lines are
+comments. parse_rule joins its text that way, and parse_ruleset and find_rule
+parse the lines it yields, so a rule reads the same from either entry point.
+
+The body is split into options by one compiled regex, matched once per option.
 
 :func:`parse_ruleset` parses every line of a rules file. :func:`find_rule`
-looks up one rule by sid, as the seed commands do: it runs ``parse_rule`` only
-on the lines where a sid segment could carry that sid, found by one regex
-that never misses such a line, and returns the same rule the first match over
+looks up one rule by sid, as the seed commands do: it parses only the lines
+where a sid segment could carry that sid, found by one regex that never
+misses such a line, and returns the same rule the first match over
 ``parse_ruleset`` would.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import RuleforgeError
@@ -37,12 +42,19 @@ VALUE_JOIN = "\x1f"
 # Option keys that carry rule identity rather than match conditions.
 IDENTITY_KEYS = frozenset({"sid", "rev", "msg", "reference"})
 
-# Synthetic attribute names for the positional header fields, header order.
-HEADER_ATTRIBUTES = ("protocol", "source_ip", "source_port", "target_ip", "target_port")
+# Synthetic attribute names for the positional header fields, header order,
+# each mapped to the RuleHeader field that holds its value.
+HEADER_FIELDS = {
+    "protocol": "protocol",
+    "source_ip": "src_addr",
+    "source_port": "src_port",
+    "target_ip": "dst_addr",
+    "target_port": "dst_port",
+}
+HEADER_ATTRIBUTES = tuple(HEADER_FIELDS)
+_HEADER_VALUES = operator.attrgetter(*HEADER_FIELDS.values())
 
 DIRECTIONS = ("->", "<>")
-
-_CONTINUATION = re.compile(r"\\[ \t]*\r?\n[ \t]*")
 
 # One option segment, matched from its first character up to the ';' that
 # ends it, or the end of the body, or a quote that is never closed. It is a run
@@ -56,35 +68,31 @@ _SEGMENT = re.compile(
 )
 
 
-class MalformedHeader(RuleforgeError):
+class RuleSyntaxError(RuleforgeError):
+    """Rule text that does not parse, at a byte offset into the joined rule text."""
+
+    def __init__(self, message: str, offset: int = 0):
+        super().__init__(f"{message} (byte offset {offset})")
+        self.offset = offset
+
+
+class MalformedHeader(RuleSyntaxError):
     """Rule header does not have the seven required fields."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
-
-class UnterminatedOption(RuleforgeError):
+class UnterminatedOption(RuleSyntaxError):
     """Rule body is missing a closing parenthesis or quote."""
 
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
-
-class InvalidOptionValue(RuleforgeError):
+class InvalidOptionValue(RuleSyntaxError):
     """An identity option (sid/rev) carries a non-numeric value."""
-
-    def __init__(self, message: str, offset: int = 0):
-        super().__init__(f"{message} (byte offset {offset})")
-        self.offset = offset
 
 
 class MissingSid(RuleforgeError):
     """A rule flagged for emission has no sid."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleHeader:
     action: str
     protocol: str
@@ -96,25 +104,18 @@ class RuleHeader:
 
     def attribute_values(self) -> dict[str, str]:
         """Header fields keyed by their synthetic attribute names."""
-        return {
-            "protocol": self.protocol,
-            "source_ip": self.src_addr,
-            "source_port": self.src_port,
-            "target_ip": self.dst_addr,
-            "target_port": self.dst_port,
-        }
+        return dict(zip(HEADER_ATTRIBUTES, _HEADER_VALUES(self)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RuleOption:
     """One body option. ``value`` is empty for flag-style options."""
 
     key: str
     value: str
-    ordinal: int
 
 
-@dataclass
+@dataclass(slots=True)
 class ParsedRule:
     header: RuleHeader
     options: tuple[RuleOption, ...]
@@ -125,10 +126,13 @@ class ParsedRule:
 
     def option_values(self) -> dict[str, str]:
         """Flattened option values: repeated keys joined with VALUE_JOIN."""
-        merged: dict[str, list[str]] = {}
+        merged: dict[str, str] = {}
         for opt in self.options:
-            merged.setdefault(opt.key, []).append(opt.value)
-        return {key: VALUE_JOIN.join(vals) for key, vals in merged.items()}
+            if opt.key in merged:
+                merged[opt.key] += VALUE_JOIN + opt.value
+            else:
+                merged[opt.key] = opt.value
+        return merged
 
     def attribute_values(self) -> dict[str, str]:
         """All antecedent values: header synthetics plus flattened options."""
@@ -142,12 +146,10 @@ class ParsedRule:
 
 @dataclass(frozen=True)
 class ParseError:
-    """One failed logical line from :func:`parse_ruleset`."""
+    """One failed logical line: its first physical line and the error's message."""
 
     line: int
-    offset: int
     message: str
-    text: str
 
 
 def _header_tokens(header_text: str) -> list[str]:
@@ -201,27 +203,31 @@ def _strip_quotes(value: str) -> str:
 
 
 def parse_rule(text: str) -> ParsedRule:
-    """Parse one logical snort rule.
+    """Parse one snort rule.
 
-    Backslash-newline continuations are joined internally. Raises
-    MalformedHeader, UnterminatedOption, or InvalidOptionValue with a byte
-    offset into the (joined) rule text.
+    The text's lines are joined as parse_ruleset joins a rules file's:
+    continuation lines are joined, and comment and blank lines skipped.
+    Raises MalformedHeader, UnterminatedOption, or InvalidOptionValue with a
+    byte offset into the joined rule text.
     """
-    logical = _CONTINUATION.sub(" ", text)
-    stripped = logical.strip()
-    if not stripped:
+    return _parse_line(" ".join(line for _, line in _logical_lines(text)))
+
+
+def _parse_line(line: str) -> ParsedRule:
+    """Parse one logical line as _logical_lines yields it: joined and stripped."""
+    if not line:
         raise MalformedHeader("empty rule text", offset=0)
 
-    lparen = stripped.find("(")
+    lparen = line.find("(")
     if lparen == -1:
-        header_text = stripped
+        header_text = line
         body = None
-        body_offset = len(stripped)
+        body_offset = len(line)
     else:
-        if not stripped.endswith(")"):
-            raise UnterminatedOption("missing closing ')'", offset=len(stripped))
-        header_text = stripped[:lparen]
-        body = stripped[lparen + 1 : -1]
+        if not line.endswith(")"):
+            raise UnterminatedOption("missing closing ')'", offset=len(line))
+        header_text = line[:lparen]
+        body = line[lparen + 1 : -1]
         body_offset = lparen + 1
 
     tokens = _header_tokens(header_text)
@@ -248,7 +254,8 @@ def parse_rule(text: str) -> ParsedRule:
             if not segment:
                 continue
             key, _, raw_value = segment.partition(":")
-            key = key.strip().lower()
+            # a corpus repeats a few keys many times: keep one copy of each
+            key = sys.intern(key.strip().lower())
             value = raw_value.strip()
             if not key:
                 continue
@@ -268,7 +275,7 @@ def parse_rule(text: str) -> ParsedRule:
             elif key == "reference":
                 references.append(value)
             else:
-                options.append(RuleOption(key=key, value=value, ordinal=len(options)))
+                options.append(RuleOption(key=key, value=value))
 
     return ParsedRule(
         header=header,
@@ -283,7 +290,7 @@ def parse_rule(text: str) -> ParsedRule:
 def serialize_rule(rule: ParsedRule, *, require_sid: bool = False) -> str:
     """Emit one-line snort syntax for a parsed rule.
 
-    Options come first in ordinal order (flag options as ``key;``), then msg,
+    Options come first in their order (flag options as ``key;``), then msg,
     references, sid, and rev. The output re-parses to an equal ParsedRule.
     """
     if require_sid and rule.sid is None:
@@ -301,7 +308,7 @@ def serialize_rule(rule: ParsedRule, *, require_sid: bool = False) -> str:
     )
     segments = [
         f"{opt.key}:{opt.value}" if opt.value else opt.key
-        for opt in sorted(rule.options, key=lambda o: o.ordinal)
+        for opt in rule.options
     ]
     if rule.msg is not None:
         # The msg is quoted unless the quoted text would not split as one
@@ -318,7 +325,9 @@ def serialize_rule(rule: ParsedRule, *, require_sid: bool = False) -> str:
     if rule.rev is not None:
         segments.append(f"rev:{rule.rev}")
     if not segments:
-        return head
+        # A trailing backslash would continue the line; an empty body keeps
+        # it in the header.
+        return f"{head} ()" if head.endswith("\\") else head
     # A segment that ends in an unpaired backslash would escape its ';'. A
     # space between them keeps the ';' a separator; the parser strips it.
     body = " ".join([seg + (" ;" if _escapes_next(seg) else ";") for seg in segments])
@@ -363,12 +372,6 @@ def _logical_lines(text: str):
         yield start_line, " ".join(part for part in buffer if part)
 
 
-def _parse_error(line_no: int, logical: str, exc: RuleforgeError) -> ParseError:
-    return ParseError(
-        line=line_no, offset=getattr(exc, "offset", 0), message=str(exc), text=logical
-    )
-
-
 def parse_ruleset(text: str) -> tuple[list[ParsedRule], list[ParseError]]:
     """Parse a whole rules file.
 
@@ -381,9 +384,9 @@ def parse_ruleset(text: str) -> tuple[list[ParsedRule], list[ParseError]]:
     errors: list[ParseError] = []
     for line_no, logical in _logical_lines(text):
         try:
-            rules.append(parse_rule(logical))
-        except RuleforgeError as exc:
-            errors.append(_parse_error(line_no, logical, exc))
+            rules.append(_parse_line(logical))
+        except RuleSyntaxError as exc:
+            errors.append(ParseError(line_no, str(exc)))
     return rules, errors
 
 
@@ -422,9 +425,9 @@ def find_rule(text: str, sid: int) -> tuple[ParsedRule | None, list[ParseError]]
         if not _may_hold_sid(logical, sid):
             continue
         try:
-            rule = parse_rule(logical)
-        except RuleforgeError as exc:
-            errors.append(_parse_error(line_no, logical, exc))
+            rule = _parse_line(logical)
+        except RuleSyntaxError as exc:
+            errors.append(ParseError(line_no, str(exc)))
             continue
         if rule.sid == sid:
             return rule, errors

@@ -106,16 +106,12 @@ class TestParseRule:
         assert rule.options[0].key == "flow"
         assert rule.options[0].value == "To_Server"
 
-    def test_ordinals_skip_identity_options(self):
+    def test_option_order_skips_identity_options(self):
         rule = parse_rule(
             'alert tcp any any -> any any '
             '(msg:"x"; flow:a; sid:4; content:"y"; rev:2; dsize:>10;)'
         )
-        assert [(o.key, o.ordinal) for o in rule.options] == [
-            ("flow", 0),
-            ("content", 1),
-            ("dsize", 2),
-        ]
+        assert [o.key for o in rule.options] == ["flow", "content", "dsize"]
 
     def test_repeated_keys_keep_both_options(self):
         rule = parse_rule('alert tcp any any -> any any (content:"a"; content:"b"; sid:6;)')
@@ -161,7 +157,7 @@ class TestQuoteSafety:
             text = f'alert tcp any any -> any any (content:"{payload}"; flow:x; sid:1;)'
             rule = parse_rule(text)
             assert rule.options[0].value == f'"{payload}"'
-            assert rule.options[1] == RuleOption(key="flow", value="x", ordinal=1)
+            assert rule.options[1] == RuleOption(key="flow", value="x")
             assert parse_rule(serialize_rule(rule)) == rule
 
 
@@ -213,8 +209,8 @@ class TestSerializeRule:
         rule = ParsedRule(
             header=RuleHeader("alert", "tcp", "any", "any", "->", "any", "any"),
             options=(
-                RuleOption("zzz", "1", 0),
-                RuleOption("aaa", "2", 1),
+                RuleOption("zzz", "1"),
+                RuleOption("aaa", "2"),
             ),
             sid=9,
         )

@@ -53,7 +53,7 @@ RULES_TEXT = st.lists(RULE_LINE, max_size=6).map("\n".join)
 # upper case, blank-padded, last with no ';'), and sid text also stands where
 # no sid segment is: in quoted values, after an escaped ';', in comments.
 # Lines may carry two sid segments, fail to parse, repeat a sid, or be split
-# over a continuation line at any character.
+# over a continuation line at any character, with blanks before the backslash.
 SID_SEGMENT = st.sampled_from(
     ["sid:7", "SID : 0007", "sid:+7", "sid:\u0667", "sId:\t 7 ", "sid:7_0", "sid:\u0667\u0660",
      "sid:70", "sid:8", "sid:x7", "sid:"]
@@ -71,12 +71,22 @@ SEED_LINE = st.builds(
     st.sampled_from([";", ""]),
 )
 SPLIT_LINE = st.builds(
-    lambda line, at: line[:at] + "\\\n" + line[at:], SEED_LINE, st.integers(0, 80)
+    lambda line, at, blanks: line[:at] + blanks + "\\\n" + line[at:],
+    SEED_LINE,
+    st.integers(0, 80),
+    st.sampled_from(["", " ", "  ", "\t"]),
 )
 COMMENT = st.sampled_from(["# alert tcp any any -> any any (sid:7;)", "  #sid:70", ""])
 SEED_TEXT = st.lists(
     st.one_of(SEED_LINE, SPLIT_LINE, COMMENT, RULE_LINE), min_size=1, max_size=8
 ).map("\n".join)
+
+
+def parse_outcome(text):
+    try:
+        return parse_rule(text)
+    except RuleforgeError as exc:
+        return str(exc)
 
 
 def split_outcome(split, body, base):
@@ -113,6 +123,15 @@ def test_find_rule_agrees_with_the_whole_file_parse(text, sid):
     assert errors == [error for error in parse_ruleset(text)[1] if error in errors]
 
 
+@DETERMINISTIC
+@given(text=SPLIT_LINE)
+@example(text='alert tcp any any -> any any (content:"a \\\n   b"; sid:1;)')
+def test_parse_rule_joins_lines_as_parse_ruleset_does(text):
+    """A one-rule text gives parse_ruleset one rule or one error: parse_rule's."""
+    rules, errors = parse_ruleset(text)
+    assert [parse_outcome(text)] == rules + [error.message for error in errors]
+
+
 def test_sid_line_filter_reads_case_and_blanks_as_parse_rule_does():
     """parse_rule lowers a key and strips blanks with str methods; every
     character those methods turn into a letter of 'sid', or strip, must pass
@@ -134,6 +153,7 @@ def test_sid_line_filter_reads_case_and_blanks_as_parse_rule_does():
 @example(text='alert tcp any any -> any any (msg:"x" y\\ ; reference:r\\\t; rev:2)')
 @example(text='alert tcp any any -> any any (msg:""a\\";)')
 @example(text='alert tcp any any -> any any (msg:";"a)')
+@example(text="alert tcp any any -> any x\\\\")
 def test_serialize_then_parse_is_a_fixed_point(text):
     rules, _ = parse_ruleset(text)
     for rule in rules:
