@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ruleforge import (
@@ -20,7 +22,7 @@ from ruleforge import (
     rule_distance,
 )
 from ruleforge import clustering
-from ruleforge.clustering import _levenshtein_row
+from ruleforge.clustering import _edit_tables
 
 
 def random_string(rng, alphabet="abcd", max_len=12):
@@ -56,10 +58,40 @@ class TestLevenshtein:
     def test_triangle_inequality(self):
         rng = np.random.default_rng(7)
         strings = [random_string(rng, max_len=8) for _ in range(12)]
+        lev = {(a, b): levenshtein(a, b) for a in strings for b in strings}
         for a in strings:
             for b in strings:
                 for c in strings:
-                    assert levenshtein(a, c) <= levenshtein(a, b) + levenshtein(b, c)
+                    assert lev[a, c] <= lev[a, b] + lev[b, c]
+
+
+# around each uint64 word boundary of the pattern masks, and a 4-word pattern
+BOUNDARY_LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129, 200]
+WIDE_ALPHABET = "aé€😀"  # 1-, 2-, 3- and 4-byte UTF-8
+
+
+def oracle_table(values):
+    size = len(values)
+    table = np.zeros((size + 1, size + 1), dtype=np.int32)
+    for a in range(size):
+        for b in range(a + 1, size):
+            table[a, b] = table[b, a] = oracles.levenshtein_full(values[a], values[b])
+    return table
+
+
+def exact_string(rng, alphabet, length):
+    return "".join(rng.choice(list(alphabet)) for _ in range(length))
+
+
+boundary_values = st.sampled_from(BOUNDARY_LENGTHS).flatmap(
+    lambda length: st.text(WIDE_ALPHABET, min_size=length, max_size=length)
+)
+value_lists = st.lists(
+    st.lists(
+        st.one_of(boundary_values, st.text("ab", max_size=8)), max_size=4, unique=True
+    ),
+    max_size=3,
+)
 
 
 class TestBitParallelKernel:
@@ -75,14 +107,40 @@ class TestBitParallelKernel:
                 assert levenshtein(a, b) == want
                 assert levenshtein(b, a) == want
 
-    def test_row_reuses_one_pattern(self):
-        rng = np.random.default_rng(3)
-        pattern = random_string(rng, "abc€", 90)
-        texts = ["", pattern, *(random_string(rng, "abc€", 90) for _ in range(20))]
-        want = [oracles.levenshtein_full(pattern, text) for text in texts]
-        assert _levenshtein_row(pattern, texts) == want
-        assert _levenshtein_row("", texts) == [len(text) for text in texts]
-        assert _levenshtein_row(pattern, []) == []
+    @settings(derandomize=True, database=None, deadline=None, max_examples=60)
+    @given(value_lists)
+    def test_tables_match_full_matrix_oracle(self, lists):
+        # each list's table equals one built pair by pair from the full DP matrix
+        tables = _edit_tables(lists)
+        assert len(tables) == len(lists)
+        for values, table in zip(lists, tables):
+            assert table.dtype == np.int32
+            assert table.tobytes() == oracle_table(values).tobytes()
+
+    def test_every_boundary_length_in_one_list(self):
+        rng = np.random.default_rng(11)
+        values = [exact_string(rng, WIDE_ALPHABET, length) for length in BOUNDARY_LENGTHS]
+        (table,) = _edit_tables([values])
+        assert table.tobytes() == oracle_table(values).tobytes()
+
+    def test_more_pairs_than_one_block(self, monkeypatch):
+        # 36 + 10 pairs in blocks of 1, 7 and 16 lanes: blocks start mid-list and
+        # mix one-word and multi-word patterns
+        rng = np.random.default_rng(12)
+        lists = [
+            [exact_string(rng, WIDE_ALPHABET, length) for length in BOUNDARY_LENGTHS],
+            [exact_string(rng, "ab", length) for length in (3, 70, 5, 64, 0)],
+        ]
+        want = [oracle_table(values).tobytes() for values in lists]
+        for block in (1, 7, 16):
+            monkeypatch.setattr(clustering, "_BLOCK_CELLS", block)
+            assert [table.tobytes() for table in _edit_tables(lists)] == want
+
+    def test_lists_without_pairs(self):
+        assert _edit_tables([]) == []
+        empty, single = _edit_tables([[], ["x"]])
+        assert empty.tobytes() == np.zeros((1, 1), dtype=np.int32).tobytes()
+        assert single.tobytes() == np.zeros((2, 2), dtype=np.int32).tobytes()
 
 
 class TestRuleDistance:
@@ -136,6 +194,13 @@ class TestDistanceMatrix:
             DistanceMatrix(np.array([[1.0, 2.0], [2.0, 0.0]]))
         with pytest.raises(ValueError):
             DistanceMatrix(np.array([[0.0, -1.0], [-1.0, 0.0]]))
+
+    @pytest.mark.parametrize("diagonal", [1e-12, -1e-12])
+    def test_nearly_zero_diagonal_rejected(self, diagonal):
+        # the diagonal is checked as exactly as the symmetry beside it
+        with pytest.raises(ValueError, match="diagonal"):
+            DistanceMatrix(np.array([[diagonal, 1.0], [1.0, 0.0]]))
+        assert DistanceMatrix(np.array([[-0.0, 1.0], [1.0, 0.0]])).n == 2
 
     def test_nearly_symmetric_rejected(self):
         # agglomerate reads exact symmetry: on this matrix it would merge (1, 0),
@@ -269,6 +334,8 @@ class TestAgglomerate:
         assert set(everything.labels.tolist()) == {0}
         nothing = agglomerate(matrix, "single", cut_height=0.0)
         assert nothing.labels.tolist() == [0, 1, 2, 3]
+        unbounded = agglomerate(matrix, "single", cut_height=math.inf)
+        assert set(unbounded.labels.tolist()) == {0}
 
     def test_count_extremes(self):
         rng = np.random.default_rng(5)
@@ -310,6 +377,9 @@ class TestAgglomerate:
             agglomerate(matrix, "single", cut_count=4)
         with pytest.raises(InvalidCut):
             agglomerate(matrix, "single", cut_height=-0.5)
+        with pytest.raises(InvalidCut, match="cut_height"):
+            # NaN fails every comparison, so a `cut_height < 0` check lets it through
+            agglomerate(matrix, "single", cut_height=math.nan)
         with pytest.raises(InvalidCut):
             agglomerate(DistanceMatrix(np.zeros((0, 0))), "single")
         with pytest.raises(ValueError):
@@ -346,7 +416,7 @@ def tie_heavy_matrix(rng, n):
 
 
 class TestMergeSequenceReference:
-    """The one-matrix merge loop against the three-array loop it replaced."""
+    """The cached nearest-neighbour merge against the flat-scan reference loop."""
 
     @pytest.mark.parametrize("linkage", clustering.LINKAGES)
     @pytest.mark.parametrize("n", [2, 3, 7, 16, 33, 60])
@@ -360,6 +430,34 @@ class TestMergeSequenceReference:
                 assert cut.merge_history == tuple(want)
                 assert dict(enumerate(cut.labels.tolist())) == oracles.labels_at_count(
                     n, want, count
+                )
+
+    @pytest.mark.parametrize("linkage", clustering.LINKAGES)
+    def test_non_integer_distances(self, sample_rules, linkage):
+        # 0.3 and 0.7 are inexact in binary: averages and ties round as in the oracle
+        matrix = build_distance_matrix(sample_rules, DistanceParams(w1=0.3, w2=0.7))
+        want = oracles.merge_sequence(matrix, linkage)
+        for count in range(1, matrix.n + 1):
+            cut = agglomerate(matrix, linkage, cut_count=count)
+            assert cut.merge_history == tuple(want)
+            assert dict(enumerate(cut.labels.tolist())) == oracles.labels_at_count(
+                matrix.n, want, count
+            )
+
+    @pytest.mark.parametrize("linkage", clustering.LINKAGES)
+    def test_tie_heavy_at_n_200(self, linkage):
+        # distances 0-3 over 200 rows: a merge invalidates many cached
+        # nearest neighbours at once, and their rescans chain through later merges
+        rng = np.random.default_rng(200)
+        for _ in range(2):
+            matrix = DistanceMatrix(tie_heavy_matrix(rng, 200))
+            want = oracles.merge_sequence(matrix, linkage)
+            full = agglomerate(matrix, linkage, cut_count=1)
+            assert full.merge_history == tuple(want)
+            for count in (2, 14, 100, 199):
+                cut = agglomerate(matrix, linkage, cut_count=count)
+                assert dict(enumerate(cut.labels.tolist())) == oracles.labels_at_count(
+                    200, want, count
                 )
 
     def test_leaves_the_matrix_unchanged(self):

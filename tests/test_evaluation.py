@@ -12,6 +12,7 @@ from ruleforge import (
     UNK,
     ExclusionList,
     InsufficientData,
+    InvalidCut,
     SeedObservation,
     SplitSpec,
     Strategy,
@@ -198,6 +199,10 @@ class TestLocoEvaluate:
         for attribute in report.attributes:
             accuracy = report.mean(attribute, CLASSIFIER_BAYES_CLUSTER)
             assert 0.0 <= accuracy <= 1.0
+
+    def test_nan_cut_height_rejected(self, sample_rules):
+        with pytest.raises(InvalidCut, match="cut_height"):
+            loco_evaluate(sample_rules, SplitSpec(folds=3), with_clusters=True, cut_height=float("nan"))
 
     def test_exclusions_apply(self, sample_rules):
         report = loco_evaluate(
