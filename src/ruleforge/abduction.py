@@ -315,10 +315,13 @@ def materialize_snort_rules(
 
     Each rule gets msg "<CATEGORY> Generated rule alert from ID-<sid>",
     rev 1, and a sequential sid starting at sid_base. The generated rules
-    themselves are left unchanged.
+    themselves are left unchanged. A category holding '"' or a line break
+    would not re-parse, and raises ValueError.
     """
     if sid_base < DEFAULT_SID_BASE:
         raise ValueError(f"sid_base {sid_base} is below the floor {DEFAULT_SID_BASE}")
+    if {'"', "\n", "\r"} & set(category):
+        raise ValueError(f"category must not hold '\"' or a line break, got {category!r}")
     return "".join(
         serialize_rule(
             replace(gen.rule, sid=sid, rev=1, msg=f"{category} Generated rule alert from ID-{sid}"),

@@ -15,8 +15,8 @@ Scoring runs in log space so long evidence chains cannot underflow.
 One kernel, posterior_log_scores, scores an (m x A) matrix of value codes for
 one target: per evidence attribute it counts the (evidence, target)
 co-occurrences the m records need and adds their log conditionals.
-predict_distribution is its one-row call, and predict_mle_rows takes the most
-likely value of every row.
+predict_distribution is its one-row call, and predict_mle_rows takes the code
+of the most likely value of every row.
 
 The model is its sufficient statistics: the sorted distinct rows of the
 (n x A) code matrix, each with its multiplicity. Every marginal and pairwise
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 from ._numpy import np
 
-from .encoding import UNK, AttributeVocabulary, UnknownAttribute
+from .encoding import UNK, AttributeVocabulary, UnknownAttribute, string_order
 from .errors import RuleforgeError
 
 MODEL_FORMAT = "ruleforge-model"
@@ -424,23 +424,22 @@ def predict_mle(distribution: PosteriorDistribution) -> str:
 _BLOCK_CELLS = 1 << 14
 
 
-def predict_mle_rows(model: SmoothedModel, codes: np.ndarray, target: str) -> list[str]:
-    """predict_mle(predict_distribution(...)) for every row of codes.
+def predict_mle_rows(model: SmoothedModel, codes: np.ndarray, target: str) -> np.ndarray:
+    """The code of predict_mle(predict_distribution(...)) for every row of codes.
 
     Ties among the most likely values go to the smallest value string: the
-    columns are read in string order, where UNK (index 0) has its own place,
-    and argmax takes the first maximum.
+    columns are read in string_order, and argmax takes the first maximum.
     """
     values = model.vocab.values.get(target)
     if values is None:
         raise UnknownAttribute(f"attribute {target!r} not in vocabulary")
-    by_string = np.array(sorted(range(len(values)), key=values.__getitem__), dtype=np.intp)
+    by_string = string_order(values)
     step = max(1, _BLOCK_CELLS // len(values))
-    picks: list[int] = []
+    picks = np.empty(len(codes), dtype=np.intp)
     for start in range(0, len(codes), step):
         normalized = _normalize(posterior_log_scores(model, codes[start : start + step], target))
-        picks.extend(by_string[normalized[:, by_string].argmax(axis=1)].tolist())
-    return [values[i] for i in picks]
+        picks[start : start + step] = by_string[normalized[:, by_string].argmax(axis=1)]
+    return picks
 
 
 def predict_topk(distribution: PosteriorDistribution, k: int) -> list[str]:

@@ -99,7 +99,7 @@ def _bounded(kind, description: str, accept):
 
 _FOLDS = _bounded(int, "an integer >= 2", lambda v: v >= 2)
 _POSITIVE_INT = _bounded(int, "an integer >= 1", lambda v: v >= 1)
-_LIMIT = _bounded(int, "an integer >= 0", lambda v: v >= 0)
+_NON_NEGATIVE_INT = _bounded(int, "an integer >= 0", lambda v: v >= 0)
 _SID_BASE = _bounded(int, f"an integer >= {DEFAULT_SID_BASE}", lambda v: v >= DEFAULT_SID_BASE)
 _ALPHA = _bounded(float, "a finite number > 0", lambda v: math.isfinite(v) and v > 0)
 _NON_NEGATIVE = _bounded(float, "a finite number >= 0", lambda v: math.isfinite(v) and v >= 0)
@@ -316,7 +316,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--rules", required=True, help="rules file holding the seed")
     sub.add_argument("--seed-sid", type=int, required=True, help="sid of the seed rule")
     sub.add_argument(
-        "--category", default="GENERATED", help="msg category tag (default GENERATED)"
+        "--category",
+        default="GENERATED",
+        help='msg category tag, without " or a line break (default GENERATED)',
     )
     sub.add_argument(
         "--sid-base",
@@ -326,7 +328,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub.add_argument(
         "--limit",
-        type=_LIMIT,
+        type=_NON_NEGATIVE_INT,
         default=10_000,
         help="maximum rules to enumerate, >= 0 (default 10000)",
     )
@@ -352,9 +354,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument("--folds", type=_FOLDS, default=10, help="fold count, >= 2 (default 10)")
     sub.add_argument(
         "--seed",
-        type=int,
+        type=_NON_NEGATIVE_INT,
         default=0,
-        help="seed of the fold split and the random baseline (default 0)",
+        help="seed of the fold split and the random baseline, >= 0 (default 0)",
     )
     _add_exclude(sub)
     sub.add_argument(
@@ -384,7 +386,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub.add_argument(
         "--limit",
-        type=_LIMIT,
+        type=_NON_NEGATIVE_INT,
         default=10_000,
         help="maximum rules to enumerate per threshold (default 10000)",
     )
@@ -529,7 +531,10 @@ def _cmd_generate(args) -> int:
     )
     graph = build_candidate_graph(seed, candidates, model.vocab)
     result = enumerate_rules(graph, seed, limit=args.limit, strict=args.strict_limit)
-    text = materialize_snort_rules(result.rules, args.category, sid_base=args.sid_base)
+    try:
+        text = materialize_snort_rules(result.rules, args.category, sid_base=args.sid_base)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     _write_output(args, text)
     LOG.info(
         "command=generate seed_sid=%d combinations=%d generated=%d truncated=%s",

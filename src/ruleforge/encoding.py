@@ -16,6 +16,8 @@ columns follow vocab.attributes, and each code indexes that attribute's
 values (0 is UNK). It is the one encoded form: fit keeps its distinct rows,
 the posterior kernel scores its rows, and the cluster feature is one more
 column, built from the int array of cluster labels that clustering returns.
+encode_codes, which reads a factorization, codes a value the vocabulary
+lacks -1 instead, so in evaluation's held-out truth it matches no prediction.
 """
 
 from __future__ import annotations
@@ -184,7 +186,11 @@ def build_vocabulary(
 
 
 def encode_codes(table: Factorized, vocab: AttributeVocabulary) -> np.ndarray:
-    """(n x A) int64 vocabulary codes of a factorized corpus (see encode_corpus)."""
+    """(n x A) int64 vocabulary codes of a factorized corpus (see encode_corpus).
+
+    An absent key and a literal "UNK" encode as UNK (0), but a value the
+    vocabulary lacks encodes as -1, so it equals no value's code.
+    """
     encoded = np.zeros((len(table.codes), len(vocab.attributes)), dtype=np.int64)
     column_of = {key: k for k, key in enumerate(table.keys)}
     for a, attr in enumerate(vocab.attributes):
@@ -192,7 +198,7 @@ def encode_codes(table: Factorized, vocab: AttributeVocabulary) -> np.ndarray:
         if k is not None:
             index = vocab._index[attr]
             # the trailing 0 is where code -1 (key absent) looks
-            lookup = np.array([index.get(v, 0) for v in table.values[k]] + [0], dtype=np.int64)
+            lookup = np.array([index.get(v, -1) for v in table.values[k]] + [0], dtype=np.int64)
             encoded[:, a] = lookup[table.codes[:, k]]
     return encoded
 
@@ -203,12 +209,18 @@ def encode_corpus(rules: Sequence[ParsedRule], vocab: AttributeVocabulary) -> np
     Total: an absent attribute, an unseen value and a literal "UNK" all
     encode as UNK (0).
     """
-    return encode_codes(factorize(rules), vocab)
+    codes = encode_codes(factorize(rules), vocab)
+    return np.maximum(codes, 0, out=codes)
 
 
 def encode_rule(rule: ParsedRule, vocab: AttributeVocabulary) -> np.ndarray:
     """The one code row of rule (see encode_corpus)."""
     return encode_corpus([rule], vocab)[0]
+
+
+def string_order(values: Sequence[str]) -> np.ndarray:
+    """The codes of values in ascending string order: UNK (0) takes its sorted place."""
+    return np.array(sorted(range(len(values)), key=values.__getitem__), dtype=np.intp)
 
 
 def attach_cluster_feature(

@@ -3,13 +3,16 @@
 The protocol: shuffle the corpus with a fixed seed, split it into k folds,
 and for each fold fit the model on the remaining rules. For every test rule
 and every attribute, hide that attribute, predict it from the rest, and score
-an exact string match against the true value (UNK counts as a value: an
-absent attribute is correctly predicted by UNK). Baselines: the training
-majority value, and a uniform draw over the attribute's vocabulary.
+an exact match against the true value (UNK counts as a value: an absent
+attribute is correctly predicted by UNK). Baselines: the training majority
+value, and a uniform draw over the attribute's vocabulary.
 
-Each fold's test rules become one code matrix, so the model predicts a
-hidden attribute for all of them in one bayes.predict_mle_rows call per
-(fold, target).
+Matches are compared as codes. Each fold encodes the corpus once in its
+training vocabulary: that matrix is the held-out truth, where a value no
+training rule holds is -1 and so matches nothing, and with -1 read as UNK
+it is the model's evidence. The model predicts a hidden attribute for all
+test rules in one bayes.predict_mle_rows call per (fold, target), and every
+classifier's accuracy is the share of its picked codes equal to the truth.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .encoding import (
     encode_codes,
     encode_rule,
     factorize,
+    string_order,
     vocabulary_of_codes,
 )
 from .errors import RuleforgeError
@@ -67,6 +71,8 @@ class SplitSpec:
     def __post_init__(self):
         if self.folds < 2:
             raise ValueError(f"folds must be >= 2, got {self.folds}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass
@@ -127,31 +133,28 @@ def make_folds(n: int, spec: SplitSpec) -> list[np.ndarray]:
     return [np.sort(fold) for fold in np.array_split(permutation, spec.folds)]
 
 
-def baseline_max_frequency(train_values: Sequence[str], test_values: Sequence[str]) -> float:
-    """Accuracy of always predicting the training majority value.
+def baseline_max_frequency(
+    train_codes: np.ndarray, test_codes: np.ndarray, values: Sequence[str]
+) -> float:
+    """Accuracy of always predicting the training majority code.
 
-    Count ties break toward the lexicographically smallest value.
+    Codes index values; count ties break toward the smallest value string.
     """
-    if not train_values or not test_values:
-        raise InsufficientData("baseline needs non-empty train and test values")
-    counts = Counter(train_values)
-    majority = min(counts, key=lambda v: (-counts[v], v))
-    return sum(1 for value in test_values if value == majority) / len(test_values)
+    if not len(train_codes) or not len(test_codes):
+        raise InsufficientData("baseline needs non-empty train and test codes")
+    by_string = string_order(values)
+    majority = by_string[np.bincount(train_codes, minlength=len(values))[by_string].argmax()]
+    return np.count_nonzero(test_codes == majority) / len(test_codes)
 
 
 def baseline_random(
-    test_values: Sequence[str],
-    vocabulary_values: Sequence[str],
-    rng: np.random.Generator,
+    test_codes: np.ndarray, values: Sequence[str], rng: np.random.Generator
 ) -> float:
-    """Accuracy of a uniform draw over the attribute's vocabulary (UNK included)."""
-    if not test_values:
-        raise InsufficientData("baseline needs non-empty test values")
-    draws = rng.integers(0, len(vocabulary_values), size=len(test_values))
-    hits = sum(
-        1 for value, draw in zip(test_values, draws) if vocabulary_values[draw] == value
-    )
-    return hits / len(test_values)
+    """Accuracy of a uniform draw over the codes of values (UNK included)."""
+    if not len(test_codes):
+        raise InsufficientData("baseline needs non-empty test codes")
+    draws = rng.integers(0, len(values), size=len(test_codes))
+    return np.count_nonzero(draws == test_codes) / len(test_codes)
 
 
 def value_frequencies(rules: Sequence[ParsedRule], attribute: str) -> list[tuple[str, int]]:
@@ -206,6 +209,9 @@ def loco_evaluate(
         exclude = ExclusionList(drop_constant=False)
     n = len(rules)
     folds = make_folds(n, spec)
+    model_options = dict(
+        smoothing=smoothing, skip_unk_evidence=skip_unk_evidence, with_prior=with_prior
+    )
 
     if with_clusters:
         matrix = build_distance_matrix(rules, distance_params)
@@ -213,7 +219,6 @@ def loco_evaluate(
             labels = agglomerate(matrix, linkage, cut_height=cut_height, cut_count=cut_count).labels
 
     table = factorize(rules)
-    column_of = {key: k for k, key in enumerate(table.keys)}
     accuracies: dict[tuple[str, str], dict[int, float]] = {}
     classifiers = [CLASSIFIER_BAYES]
     if with_clusters:
@@ -228,16 +233,10 @@ def loco_evaluate(
 
         vocab = vocabulary_of_codes(table, exclude, train_ids)
         codes = encode_codes(table, vocab)
-        train_codes = codes[train_ids]
-        test_codes = codes[test_ids]
-        model = fit(
-            train_codes,
-            vocab,
-            alpha,
-            smoothing=smoothing,
-            skip_unk_evidence=skip_unk_evidence,
-            with_prior=with_prior,
-        )
+        test_truth = codes[test_ids]  # -1: a value no training rule holds
+        np.maximum(codes, 0, out=codes)  # which the evidence reads as UNK
+        train_codes, test_codes = codes[train_ids], codes[test_ids]
+        model = fit(train_codes, vocab, alpha, **model_options)
 
         if with_clusters:
             if cluster_train_only:
@@ -256,45 +255,26 @@ def loco_evaluate(
             _, cluster_test_codes = attach_cluster_feature(
                 test_codes, test_labels, vocab, augmented_vocab=cluster_vocab
             )
-            cluster_model = fit(
-                cluster_train_codes,
-                cluster_vocab,
-                alpha,
-                smoothing=smoothing,
-                skip_unk_evidence=skip_unk_evidence,
-                with_prior=with_prior,
-            )
+            cluster_model = fit(cluster_train_codes, cluster_vocab, alpha, **model_options)
 
         for attr_index, attribute in enumerate(vocab.attributes):
-            k = column_of[attribute]
-            strings = np.array([*table.values[k], UNK], dtype=object)[table.codes[:, k]]
-            true_values = strings[test_ids].tolist()
-            train_values = strings[train_ids].tolist()
+            values = vocab.values[attribute]
+            true_codes = test_truth[:, attr_index]
 
-            predictions = predict_mle_rows(model, test_codes, attribute)
-            hits = sum(1 for p, t in zip(predictions, true_values) if p == t)
-            record(attribute, CLASSIFIER_BAYES, fold_index, hits / len(true_values))
+            picks = predict_mle_rows(model, test_codes, attribute)
+            accuracy = np.count_nonzero(picks == true_codes) / len(test_ids)
+            record(attribute, CLASSIFIER_BAYES, fold_index, accuracy)
 
             if with_clusters:
-                predictions = predict_mle_rows(cluster_model, cluster_test_codes, attribute)
-                hits = sum(1 for p, t in zip(predictions, true_values) if p == t)
-                record(
-                    attribute, CLASSIFIER_BAYES_CLUSTER, fold_index, hits / len(true_values)
-                )
+                picks = predict_mle_rows(cluster_model, cluster_test_codes, attribute)
+                accuracy = np.count_nonzero(picks == true_codes) / len(test_ids)
+                record(attribute, CLASSIFIER_BAYES_CLUSTER, fold_index, accuracy)
 
             rng = np.random.default_rng([spec.rng_seed, fold_index, attr_index])
-            record(
-                attribute,
-                CLASSIFIER_RANDOM,
-                fold_index,
-                baseline_random(true_values, vocab.values[attribute], rng),
-            )
-            record(
-                attribute,
-                CLASSIFIER_MAX_FREQUENCY,
-                fold_index,
-                baseline_max_frequency(train_values, true_values),
-            )
+            accuracy = baseline_random(true_codes, values, rng)
+            record(attribute, CLASSIFIER_RANDOM, fold_index, accuracy)
+            accuracy = baseline_max_frequency(train_codes[:, attr_index], true_codes, values)
+            record(attribute, CLASSIFIER_MAX_FREQUENCY, fold_index, accuracy)
 
     attributes = tuple(sorted({attr for attr, _ in accuracies}))
     return AttributeAccuracyReport(

@@ -9,9 +9,11 @@ one record at a time, dense_pair_counts counts every cell of every pair table,
 split_options splits a rule body one character at a time, find_rule looks
 a sid up by parsing the whole file, merge_sequence agglomerates with
 three n x n arrays (the distances, an upper-triangle mask and a masked work
-copy) where the package keeps one, and build_vocabulary and encode_corpus
+copy) where the package keeps one, build_vocabulary and encode_corpus
 walk every rule's attribute_values() dict where the package reads the codes
-of one factorization.
+of one factorization, and loco_evaluate_strings scores the evaluation fold
+loop on value strings, one prediction at a time, where the package compares
+the codes of one matrix per fold.
 """
 
 from __future__ import annotations
@@ -22,7 +24,18 @@ from typing import Sequence
 
 import numpy as np
 
-from ruleforge.encoding import AttributeVocabulary, EmptyCorpus, ExclusionList
+from ruleforge.bayes import fit, predict_distribution, predict_mle
+from ruleforge.clustering import agglomerate, build_distance_matrix
+from ruleforge.encoding import CLUSTER_ATTRIBUTE, AttributeVocabulary, EmptyCorpus, ExclusionList
+from ruleforge.evaluation import (
+    CLASSIFIER_BAYES,
+    CLASSIFIER_BAYES_CLUSTER,
+    CLASSIFIER_MAX_FREQUENCY,
+    CLASSIFIER_RANDOM,
+    AttributeAccuracyReport,
+    SplitSpec,
+    make_folds,
+)
 from ruleforge.parser import ParsedRule, UnterminatedOption, parse_ruleset
 
 UNK = "UNK"
@@ -406,11 +419,91 @@ def encode_corpus(rules: Sequence[ParsedRule], vocab: AttributeVocabulary) -> np
 
     Total: an absent attribute or an unseen value encodes as UNK (0).
     """
+    return encode_rows([rule.attribute_values() for rule in rules], vocab)
+
+
+def encode_rows(rows: Sequence[dict[str, str]], vocab: AttributeVocabulary) -> np.ndarray:
+    """encode_corpus of the rules whose attribute_values() dicts are rows."""
     attrs = vocab.attributes
     tables = [vocab._index[attr] for attr in attrs]
     unk = [0] * len(attrs)
     flat = itertools.chain.from_iterable(
-        map(dict.get, tables, map(rule.attribute_values().get, attrs), unk) for rule in rules
+        map(dict.get, tables, map(row.get, attrs), unk) for row in rows
     )
-    codes = np.fromiter(flat, dtype=np.int64, count=len(rules) * len(attrs))
-    return codes.reshape(len(rules), len(attrs))
+    codes = np.fromiter(flat, dtype=np.int64, count=len(rows) * len(attrs))
+    return codes.reshape(len(rows), len(attrs))
+
+
+# ---------------------------------------------------------------------------
+# the evaluation fold loop, scored on value strings
+
+
+def loco_evaluate_strings(
+    rules: Sequence[ParsedRule],
+    spec: SplitSpec,
+    exclude: ExclusionList,
+    *,
+    with_clusters: bool = False,
+    cut_count: int | None = None,
+    **model_options,
+) -> str:
+    """loco_evaluate(...).to_csv(), from a fold loop that compares value strings.
+
+    Per fold, the package's model is fitted on the dict walk's vocabulary and
+    encoding of the training rules, and every held-out rule's hidden value is
+    predict_mle(predict_distribution(...)) of its own row. The majority is a
+    Counter's (ties to the smallest string) and the random baseline draws
+    what loco_evaluate draws; all three are matched against the true value
+    strings, where an absent attribute is UNK. with_clusters clusters the
+    whole corpus once and adds each rule's label to its values as cluster_id.
+    """
+    rows = [rule.attribute_values() for rule in rules]
+    classifiers = [CLASSIFIER_BAYES]
+    if with_clusters:
+        matrix = build_distance_matrix(rules)
+        labels = [str(label) for label in agglomerate(matrix, cut_count=cut_count).labels]
+        cluster_rows = [{**row, CLUSTER_ATTRIBUTE: label} for row, label in zip(rows, labels)]
+        classifiers.append(CLASSIFIER_BAYES_CLUSTER)
+    classifiers += [CLASSIFIER_RANDOM, CLASSIFIER_MAX_FREQUENCY]
+    accuracies: dict[tuple[str, str], dict[int, float]] = {}
+
+    def score(attribute, classifier, fold, hits):
+        accuracies.setdefault((attribute, classifier), {})[fold] = hits / len(test_ids)
+
+    for fold, test_ids in enumerate(make_folds(len(rules), spec)):
+        test_ids = test_ids.tolist()
+        train_ids = [i for i in range(len(rules)) if i not in test_ids]
+        vocab = build_vocabulary([rules[i] for i in train_ids], exclude)
+        models = [(CLASSIFIER_BAYES, vocab, rows)]
+        if with_clusters:
+            values = dict(vocab.values)
+            values[CLUSTER_ATTRIBUTE] = (UNK, *sorted({labels[i] for i in train_ids}))
+            cluster_vocab = AttributeVocabulary(tuple(sorted(values)), values)
+            models.append((CLASSIFIER_BAYES_CLUSTER, cluster_vocab, cluster_rows))
+        for classifier, model_vocab, model_rows in models:
+            codes = encode_rows(model_rows, model_vocab)
+            model = fit(codes[train_ids], model_vocab, **model_options)
+            for attribute in vocab.attributes:
+                hits = sum(
+                    predict_mle(predict_distribution(model, codes[i], attribute))
+                    == rows[i].get(attribute, UNK)
+                    for i in test_ids
+                )
+                score(attribute, classifier, fold, hits)
+        for a, attribute in enumerate(vocab.attributes):
+            values = vocab.values[attribute]
+            truths = [rows[i].get(attribute, UNK) for i in test_ids]
+            rng = np.random.default_rng([spec.rng_seed, fold, a])
+            draws = rng.integers(0, len(values), size=len(test_ids)).tolist()
+            hits = sum(values[draw] == truth for draw, truth in zip(draws, truths))
+            score(attribute, CLASSIFIER_RANDOM, fold, hits)
+            counts = Counter(rows[i].get(attribute, UNK) for i in train_ids)
+            majority = min(counts, key=lambda value: (-counts[value], value))
+            score(attribute, CLASSIFIER_MAX_FREQUENCY, fold, truths.count(majority))
+    report = AttributeAccuracyReport(
+        attributes=tuple(sorted({attribute for attribute, _ in accuracies})),
+        classifiers=tuple(classifiers),
+        folds=spec.folds,
+        accuracies=accuracies,
+    )
+    return report.to_csv()

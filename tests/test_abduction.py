@@ -23,6 +23,7 @@ from ruleforge import (
     fit,
     materialize_snort_rules,
     parse_rule,
+    parse_ruleset,
     predict_distribution,
     serialize_rule,
 )
@@ -293,6 +294,21 @@ class TestMaterialize:
 
     def test_empty_batch(self):
         assert materialize_snort_rules([], "X") == ""
+
+    @pytest.mark.parametrize("category", ["NETBIOS", "A;B", "A(B)", "A\\B", "A\\", "A;()\\B"])
+    def test_accepted_categories_reparse(self, table2_rules, category):
+        result, _, _ = generate_from(table2_rules, 0, Strategy.threshold(0.01))
+        text = materialize_snort_rules(list(result), category)
+        rules, errors = parse_ruleset(text)
+        assert not errors
+        assert len(rules) == len(result)
+        assert [rule.msg.split(" Generated rule")[0] for rule in rules] == [category] * len(rules)
+
+    @pytest.mark.parametrize("category", ['A"B', "A\nB", "A\rB", '"'])
+    def test_category_that_would_not_reparse_raises(self, table2_rules, category):
+        result, _, _ = generate_from(table2_rules, 0, Strategy.threshold(0.01))
+        with pytest.raises(ValueError, match="category"):
+            materialize_snort_rules(list(result), category)
 
     def test_seed_without_sid_gets_zero(self):
         rule = parse_rule("alert tcp any any -> any 445 (flow:to_server;)")

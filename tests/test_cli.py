@@ -284,6 +284,18 @@ class TestGenerate:
         first = capsys.readouterr().out.splitlines()[0]
         assert parse_rule(first).sid == 900001
 
+    @pytest.mark.parametrize("category", ['A"B', "A\nB", "A\rB"])
+    def test_category_that_would_not_reparse_is_a_usage_error(
+        self, capsys, table2_file, trained_model, category
+    ):
+        argv = ["generate", "--model", trained_model, "--rules", table2_file, "--seed-sid", "13162"]
+        capsys.readouterr()  # the model fixture's log line
+        assert run([*argv, "--category", category]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: category must not hold")
+        assert captured.err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "defect",
         [
@@ -681,6 +693,9 @@ class TestFlagRanges:
             ("cluster", "cut-count=2 cut-height=1"),
             ("evaluate", "w1=0 w2=0"),
             ("evaluate", "cut-count=0"),
+            ("evaluate", "seed=-1"),
+            ("evaluate", "seed=-3"),
+            ("generate", 'category=A"B'),
         ],
     )
     def test_out_of_range_value_is_usage_error(

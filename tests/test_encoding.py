@@ -100,7 +100,14 @@ def test_codes_give_the_dict_walks_vocabulary_and_encoding(rules, data):
     assert vocab.attributes == expected.attributes
     assert vocab.values == expected.values
     codes = oracles.encode_corpus(rules, vocab)
-    assert np.array_equal(encode_codes(table, vocab), codes)
+    unseen = np.array(
+        [
+            [rule.attribute_values().get(a, UNK) not in vocab.values[a] for a in vocab.attributes]
+            for rule in rules
+        ],
+        dtype=bool,
+    ).reshape(codes.shape)
+    assert np.array_equal(encode_codes(table, vocab), np.where(unseen, -1, codes))
     assert np.array_equal(encode_corpus(rules, vocab), codes)
     whole = build_vocabulary(rules, exclude)
     assert whole.values == oracles.build_vocabulary(rules, exclude).values

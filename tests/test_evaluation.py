@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import oracles
 from conftest import TABLE2_TEXTS
 from ruleforge import (
     CLASSIFIER_BAYES,
@@ -30,6 +33,7 @@ from ruleforge import (
     threshold_sweep,
     value_frequencies,
 )
+from ruleforge.parser import ParsedRule, RuleHeader, RuleOption
 
 
 class TestSplitSpec:
@@ -41,6 +45,8 @@ class TestSplitSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
             SplitSpec(folds=1)
+        with pytest.raises(ValueError, match="rng_seed"):
+            SplitSpec(rng_seed=-1)
 
 
 class TestMakeFolds:
@@ -66,42 +72,61 @@ class TestMakeFolds:
             make_folds(5, SplitSpec(folds=10))
 
 
+def codes_of(strings, values):
+    """The codes of strings, each an index into values."""
+    return np.array([values.index(v) for v in strings], dtype=np.int64)
+
+
 class TestBaselines:
+    VALUES = (UNK, "a", "b", "c")
+
     def test_max_frequency_hand_case(self):
-        accuracy = baseline_max_frequency(
-            ["a", "a", "b"], ["a", "b", "a", "a"]
-        )
-        assert accuracy == pytest.approx(3 / 4)
+        train = codes_of(["a", "a", "b"], self.VALUES)
+        test = codes_of(["a", "b", "a", "a"], self.VALUES)
+        assert baseline_max_frequency(train, test, self.VALUES) == pytest.approx(3 / 4)
 
     def test_max_frequency_tie_breaks_lexicographically(self):
         # a and b both appear twice: the smaller string wins
-        accuracy = baseline_max_frequency(["b", "a", "b", "a"], ["a", "b"])
+        train = codes_of(["b", "a", "b", "a"], self.VALUES)
+        accuracy = baseline_max_frequency(train, codes_of(["a", "b"], self.VALUES), self.VALUES)
         assert accuracy == pytest.approx(1 / 2)
-        accuracy = baseline_max_frequency(["b", "a", "b", "a"], ["a"])
+        accuracy = baseline_max_frequency(train, codes_of(["a"], self.VALUES), self.VALUES)
         assert accuracy == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("value, winner", [("$HOME_NET", "$HOME_NET"), ("any", UNK)])
+    def test_max_frequency_tie_with_unk_goes_to_the_smaller_string(self, value, winner):
+        values = (UNK, value)
+        train = codes_of([value, UNK], values)
+        test = codes_of([winner], values)
+        assert baseline_max_frequency(train, test, values) == 1.0
+
     def test_max_frequency_empty(self):
+        empty = np.zeros(0, dtype=np.int64)
         with pytest.raises(InsufficientData):
-            baseline_max_frequency([], ["a"])
+            baseline_max_frequency(empty, codes_of(["a"], self.VALUES), self.VALUES)
         with pytest.raises(InsufficientData):
-            baseline_max_frequency(["a"], [])
+            baseline_max_frequency(codes_of(["a"], self.VALUES), empty, self.VALUES)
 
     def test_random_is_seeded(self):
-        vocabulary = [UNK, "a", "b", "c"]
-        test_values = ["a"] * 50
-        first = baseline_random(test_values, vocabulary, np.random.default_rng(5))
-        second = baseline_random(test_values, vocabulary, np.random.default_rng(5))
+        test = codes_of(["a"] * 50, self.VALUES)
+        first = baseline_random(test, self.VALUES, np.random.default_rng(5))
+        second = baseline_random(test, self.VALUES, np.random.default_rng(5))
         assert first == second
+        draws = np.random.default_rng(5).integers(0, len(self.VALUES), size=len(test))
+        assert first == np.count_nonzero(draws == test) / len(test)
 
     def test_random_converges_to_uniform(self):
-        vocabulary = [UNK, "a", "b", "c"]
-        test_values = ["a"] * 20_000
-        accuracy = baseline_random(test_values, vocabulary, np.random.default_rng(0))
+        test = codes_of(["a"] * 20_000, self.VALUES)
+        accuracy = baseline_random(test, self.VALUES, np.random.default_rng(0))
         assert accuracy == pytest.approx(1 / 4, abs=0.02)
+
+    def test_random_never_matches_an_unseen_value(self):
+        test = np.full(1000, -1, dtype=np.int64)
+        assert baseline_random(test, self.VALUES, np.random.default_rng(0)) == 0.0
 
     def test_random_empty(self):
         with pytest.raises(InsufficientData):
-            baseline_random([], ["a"], np.random.default_rng(0))
+            baseline_random(np.zeros(0, dtype=np.int64), ["a"], np.random.default_rng(0))
 
 
 class TestValueFrequencies:
@@ -218,6 +243,79 @@ class TestLocoEvaluate:
     def test_insufficient_rules(self, sample_rules):
         with pytest.raises(InsufficientData):
             loco_evaluate(sample_rules[:5], SplitSpec(folds=10))
+
+
+# Values that sort before "UNK" ("$HOME_NET", "80", "A") and after it ("any",
+# "zz"), a literal "UNK", a flag's "", and ONLY: a value no other rule holds,
+# so it is unseen in training whenever its rule is held out. An option key a
+# rule does not draw is absent from it.
+ONLY = "only"
+VALUES = ["", UNK, "$HOME_NET", "80", "A", "any", "zz", ONLY]
+
+
+def corpus_rule(i: int, protocol: str, port: str, options: dict[str, str]) -> ParsedRule:
+    def value(v: str) -> str:
+        return f"{ONLY}-{i}" if v == ONLY else v
+
+    return ParsedRule(
+        RuleHeader("alert", protocol, "any", "any", "->", "any", value(port)),
+        tuple(RuleOption(key, value(v)) for key, v in options.items()),
+    )
+
+
+CORPUS = st.lists(
+    st.tuples(
+        st.sampled_from(["tcp", "udp"]),
+        st.sampled_from(VALUES[1:]),
+        st.dictionaries(st.sampled_from(["flow", "dsize", "nocase"]), st.sampled_from(VALUES)),
+    ),
+    min_size=6,
+    max_size=14,
+).map(lambda drawn: [corpus_rule(i, *fields) for i, fields in enumerate(drawn)])
+
+EDGE_CORPUS = [
+    parse_rule(text)
+    for text in (
+        "alert tcp any any -> any 80 (flow:UNK; dsize:$HOME_NET; sid:1;)",
+        "alert tcp any any -> any 80 (flow:zz; dsize:$HOME_NET; sid:2;)",
+        "alert udp any any -> any UNK (flow:UNK; sid:3;)",
+        "alert udp any any -> any any (flow:any; dsize:A; sid:4;)",
+        "alert tcp any any -> any 445 (flow:only-5; sid:5;)",
+        "alert tcp any any -> any 80 (flow:zz; nocase; sid:6;)",
+        "alert udp any any -> any any (dsize:A; nocase; sid:7;)",
+        "alert tcp any any -> any 8080 (flow:UNK; dsize:zz; sid:8;)",
+        "alert tcp any any -> any 80 (flow:any; dsize:$HOME_NET; sid:9;)",
+    )
+]
+
+MODEL_OPTIONS = [
+    {},
+    {"skip_unk_evidence": True, "with_prior": True},
+    {"alpha": 0.37, "smoothing": "conventional"},
+]
+
+
+@pytest.mark.parametrize("with_clusters", [False, True])
+@pytest.mark.parametrize("drop_constant", [False, True])
+@settings(derandomize=True, database=None, deadline=None, max_examples=30)
+@given(
+    rules=CORPUS,
+    folds=st.integers(2, 4),
+    seed=st.integers(0, 2**32),
+    options=st.sampled_from(MODEL_OPTIONS),
+)
+@example(rules=EDGE_CORPUS, folds=3, seed=0, options={})
+def test_loco_evaluate_matches_the_string_oracle(
+    rules, folds, seed, options, with_clusters, drop_constant
+):
+    spec = SplitSpec(folds=folds, rng_seed=seed)
+    exclude = ExclusionList(drop_constant=drop_constant)
+    report = loco_evaluate(
+        rules, spec, exclude=exclude, with_clusters=with_clusters, cut_count=3, **options
+    )
+    assert report.to_csv() == oracles.loco_evaluate_strings(
+        rules, spec, exclude, with_clusters=with_clusters, cut_count=3, **options
+    )
 
 
 class TestThresholdSweep:
