@@ -33,7 +33,6 @@ gives, plus a newline.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -181,6 +180,8 @@ class SmoothedModel:
 
     def to_json(self) -> str:
         """The model file's text: compact JSON with sorted keys, then a newline."""
+        import json  # here, not at the top: parse, cluster and evaluate never load it
+
         payload = {
             "format": MODEL_FORMAT,
             "version": MODEL_VERSION,
@@ -199,6 +200,8 @@ class SmoothedModel:
     @classmethod
     def load(cls, path: str) -> "SmoothedModel":
         """Read a model file; a malformed or inconsistent one raises RuleforgeError."""
+        import json
+
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 return cls._from_payload(json.load(handle), path)

@@ -22,8 +22,6 @@ lacks -1 instead, so in evaluation's held-out truth it matches no prediction.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -105,6 +103,8 @@ class AttributeVocabulary:
         return sum(len(self.values[a]) for a in self.attributes)
 
     def to_json(self) -> str:
+        import json  # here, not at the top: parse, cluster and evaluate never load it
+
         payload = {
             "format": VOCABULARY_FORMAT,
             "version": VOCABULARY_VERSION,
@@ -113,6 +113,9 @@ class AttributeVocabulary:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def sha256(self) -> str:
+        import hashlib
+        import json
+
         canonical = json.dumps(
             {a: list(self.values[a]) for a in self.attributes},
             sort_keys=True,

@@ -17,7 +17,6 @@ classifier's accuracy is the share of its picked codes equal to the truth.
 
 from __future__ import annotations
 
-import csv
 import io
 from collections import Counter
 from dataclasses import dataclass
@@ -93,6 +92,8 @@ class AttributeAccuracyReport:
 
         One row per evaluated fold plus a summary row with fold "mean".
         """
+        import csv  # here, not at the top: parse never loads it
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["attribute", "classifier", "fold", "accuracy"])
@@ -116,6 +117,8 @@ class ThresholdSweepResult:
     points: tuple[tuple[float, int], ...]
 
     def to_csv(self) -> str:
+        import csv
+
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(["threshold", "generated_rules"])

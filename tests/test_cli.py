@@ -831,6 +831,80 @@ class TestNonUtf8Input:
         assert f"usage error: cannot read config file {config}: 'utf-8' codec" in err
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a rules or config file is not data."""
+
+    BOM = "\ufeff"
+
+    @pytest.fixture
+    def twins(self, tmp_path):
+        """The same rules text twice, in files of the same name; the second starts with a mark."""
+        malformed = "alert tcp any any => any 445 (sid:99;)"
+        text = "\n".join([TABLE2_TEXTS[0], malformed, *TABLE2_TEXTS[1:]])
+        (tmp_path / "plain").mkdir()
+        (tmp_path / "marked").mkdir()
+        plain = tmp_path / "plain" / "pair.rules"
+        marked = tmp_path / "marked" / "pair.rules"
+        plain.write_text(text + "\n", encoding="utf-8")
+        marked.write_text(self.BOM + text + "\n", encoding="utf-8")
+        return plain, marked
+
+    def test_parse_output_matches_the_unmarked_file(self, capsys, twins):
+        outputs = []
+        for path in twins:
+            assert run(["parse", "--rules", str(path)]) == 2  # line 2 is malformed
+            outputs.append(capsys.readouterr())
+        assert outputs[0].out == outputs[1].out
+        assert outputs[0].out.startswith("alert tcp ")
+        plain, marked = twins
+        assert outputs[1].err == outputs[0].err.replace(str(plain), str(marked))
+
+    def test_lint_line_numbers_are_unchanged(self, capsys, twins):
+        reports = []
+        for path in twins:
+            assert run(["parse", "--rules", str(path), "--lint"]) == 0
+            reports.append(capsys.readouterr().out.replace(str(path), "RULES"))
+        assert reports[0] == reports[1]
+        assert reports[0].startswith("RULES:2: invalid direction token '=>'")
+
+    def test_train_writes_the_same_model(self, twins):
+        models = []
+        for path in twins:
+            out = path.parent / "model.json"
+            assert run(["train", "--rules", str(path), "--out", str(out), "--keep-constant"]) == 0
+            models.append(out.read_bytes())
+        assert models[0] == models[1]
+
+    def test_generate_finds_a_seed_on_the_first_line(self, capsys, trained_model, twins):
+        outputs = []
+        for path in twins:
+            argv = ["generate", "--model", trained_model, "--rules", str(path), "--seed-sid"]
+            assert run([*argv, "13162"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] and self.BOM not in outputs[0]
+
+    def test_config_file_with_a_mark_loads(self, tmp_path):
+        config = tmp_path / "forge.conf"
+        config.write_text(self.BOM + "threshold = 0.5\nsid-base = 300000\n", encoding="utf-8")
+        assert load_config(str(config)) == {"threshold": 0.5, "sid_base": 300000}
+
+
+class TestOutputBytes:
+    def test_logged_count_is_the_file_size(self, tmp_path, caplog):
+        rules = tmp_path / "accents.rules"
+        rules.write_text(
+            'alert tcp any any -> any 80 (msg:"café"; content:"éé"; sid:1;)\n', encoding="utf-8"
+        )
+        out = tmp_path / "canon.rules"
+        with caplog.at_level(logging.INFO, logger="ruleforge"):
+            assert run(["parse", "--rules", str(rules), "--out", str(out)]) == 0
+        [message] = [r.getMessage() for r in caplog.records if "wrote=" in r.getMessage()]
+        size = len(out.read_bytes())
+        assert size > len(out.read_text(encoding="utf-8"))
+        assert message == f"command=parse wrote={out} bytes={size}"
+
+
 class TestLoggingScope:
     def test_no_handler_outlives_the_call(self, tmp_path, monkeypatch):
         root = logging.getLogger()

@@ -1,11 +1,16 @@
-"""numpy is imported on first use: parse, --version and --help run without it.
+"""Start-up: commands load only what they use, and the console entry point pins
+OpenBLAS to one thread.
 
-Each check runs in a fresh interpreter, because this test process has numpy
-loaded already. Setting ``sys.modules["numpy"] = None`` makes any ``import
-numpy`` raise ImportError, so a blocked run that matches an unblocked one
-never touched ``np``.
+numpy is imported on first use, so parse, --version and --help run without
+it; parse also runs without json, hashlib and csv. Each check runs in a fresh
+interpreter, because this test process has those modules loaded already.
+Setting ``sys.modules[name] = None`` makes any ``import name`` raise
+ImportError, so a blocked run that matches an unblocked one never touched the
+module.
 """
 
+import json
+import os
 import subprocess
 import sys
 
@@ -13,8 +18,8 @@ import pytest
 
 RUN_CLI = """
 import sys
-if sys.argv[1] == "blocked":
-    sys.modules["numpy"] = None
+for name in filter(None, sys.argv[1].split(",")):
+    sys.modules[name] = None
 from ruleforge.cli import run
 sys.exit(run(sys.argv[2:]))
 """
@@ -35,11 +40,20 @@ def python(code: str, *args: str) -> subprocess.CompletedProcess:
     ids=["version", "help", "parse", "parse-lint"],
 )
 def test_cli_runs_the_same_with_numpy_blocked(sample_corpus_path, argv):
-    argv = [arg.format(corpus=sample_corpus_path) for arg in argv]
-    blocked = python(RUN_CLI, "blocked", *argv)
+    assert_same_when_blocked("numpy", [arg.format(corpus=sample_corpus_path) for arg in argv])
+
+
+@pytest.mark.parametrize("lint", [[], ["--lint"]], ids=["parse", "parse-lint"])
+def test_parse_runs_the_same_with_json_hashlib_and_csv_blocked(sample_corpus_path, lint):
+    argv = ["parse", "--rules", str(sample_corpus_path), *lint]
+    assert_same_when_blocked("json,hashlib,csv", argv)
+
+
+def assert_same_when_blocked(modules: str, argv: list[str]) -> None:
+    blocked = python(RUN_CLI, modules, *argv)
     assert blocked.returncode == 0, blocked.stderr.decode()
     assert blocked.stdout
-    unblocked = python(RUN_CLI, "unblocked", *argv)
+    unblocked = python(RUN_CLI, "", *argv)
     assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
         unblocked.returncode,
         unblocked.stdout,
@@ -74,3 +88,56 @@ def test_proxy_imports_numpy_once_and_caches_each_attribute():
         'assert vars(np)["ndarray"] is first and np.ndarray is first\n'
     )
     assert result.returncode == 0, result.stderr.decode()
+
+
+RUN_MAIN = """
+import json, os, sys
+from ruleforge import cli
+sys.argv = ["ruleforge", *sys.argv[1:]]
+try:
+    cli.main()
+except SystemExit as exc:
+    code = exc.code
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps({
+    "code": code,
+    "numpy": "numpy" in sys.modules,
+    "openblas": os.environ.get("OPENBLAS_NUM_THREADS"),
+    "threads": threads,
+}))
+"""
+
+
+def run_main(tmp_path, corpus, **env) -> dict:
+    """main() on `cluster` in a fresh interpreter whose environment adds env."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ.update(env)
+    argv = ["cluster", "--rules", str(corpus), "--out", str(tmp_path / "labels.csv")]
+    result = subprocess.run(
+        [sys.executable, "-c", RUN_MAIN, *argv], capture_output=True, env=environ
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    return json.loads(result.stdout)
+
+
+def test_main_pins_openblas_to_one_thread(tmp_path, sample_corpus_path):
+    report = run_main(tmp_path, sample_corpus_path)
+    assert report["code"] == 0
+    assert report["numpy"]
+    assert report["openblas"] == "1"
+    if report["threads"] is not None:  # no /proc/self/task off Linux
+        assert report["threads"] == 1
+
+
+def test_main_keeps_a_preset_thread_count(tmp_path, sample_corpus_path):
+    report = run_main(tmp_path, sample_corpus_path, OPENBLAS_NUM_THREADS="3")
+    assert (report["code"], report["numpy"], report["openblas"]) == (0, True, "3")
+
+
+def test_run_leaves_the_environment_alone(tmp_path, sample_corpus_path):
+    from ruleforge.cli import run
+
+    before = dict(os.environ)
+    argv = ["cluster", "--rules", str(sample_corpus_path), "--out", str(tmp_path / "labels.csv")]
+    assert run(argv) == 0
+    assert dict(os.environ) == before
