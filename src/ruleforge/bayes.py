@@ -23,8 +23,9 @@ The model is its sufficient statistics: the sorted distinct rows of the
 count is a weighted sum over those rows (Moore & Lee, "Cached Sufficient
 Statistics for Efficient Machine Learning with Large Datasets", JAIR 8, 1998),
 so the two arrays are all a model keeps and all a model file stores. fit and
-load only sort and merge the rows (_distinct_rows); each count is a weighted
-bincount over the stored columns, taken when a caller asks for it.
+load only sort and merge the rows (_distinct_rows), when they are not sorted
+and distinct already; each count is a weighted bincount over the stored
+columns, taken when a caller asks for it.
 
 A model file is the compact JSON text json.dumps(payload, sort_keys=True)
 gives, plus a newline.
@@ -175,8 +176,10 @@ class SmoothedModel:
         return self.counts.vocab
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(self.to_json())
+        """Write to_json's text as UTF-8 bytes; the file is opened once the text is built."""
+        data = self.to_json().encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(data)
 
     def to_json(self) -> str:
         """The model file's text: compact JSON with sorted keys, then a newline."""
@@ -203,7 +206,7 @@ class SmoothedModel:
         import json
 
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:  # drops a byte-order mark
                 return cls._from_payload(json.load(handle), path)
         except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
             raise RuleforgeError(
@@ -241,11 +244,14 @@ class SmoothedModel:
         width = len(vocab.attributes)
         if any(type(row) is not list or len(row) != width for row in rows):
             raise ValueError(f"every row must be a list of {width} codes")
-        codes = _int_array(itertools.chain.from_iterable(rows)).reshape(len(rows), width)
+        # np.array would truncate a float and read true as 1, so the types come first
+        if not set(map(type, itertools.chain(multiplicities, *rows))) <= {int}:
+            raise ValueError("rows and multiplicities must hold integers only")
+        codes = np.array(rows, dtype=np.int64).reshape(len(rows), width)
         sizes = np.array([vocab.size(a) for a in vocab.attributes], dtype=np.int64)
         if ((codes < 0) | (codes >= sizes)).any():
             raise ValueError("a code is outside its attribute's values")
-        weights = _int_array(multiplicities)
+        weights = np.array(multiplicities, dtype=np.int64)
         if (weights < 1).any() or sum(multiplicities) != num_samples:
             raise ValueError("multiplicities must be >= 1 and sum to num_samples")
         return cls(
@@ -275,33 +281,42 @@ def _is_value_list(values: tuple) -> bool:
     )
 
 
-def _int_array(items) -> np.ndarray:
-    """An int64 array of JSON integers; a float, a boolean or a string is an error."""
-    items = list(items)
-    if not set(map(type, items)) <= {int}:
-        raise ValueError("rows and multiplicities must hold integers only")
-    return np.array(items, dtype=np.int64)
+def _strictly_increasing(rows: np.ndarray) -> bool:
+    """Whether each row is lexicographically greater than the one before it.
+
+    The columns are compared in order, for the pairs of neighbouring rows
+    still tied on every column before, so each temporary is one column long.
+    """
+    tied = np.ones(max(len(rows) - 1, 0), dtype=bool)
+    for before, after in zip(rows[:-1].T, rows[1:].T):
+        if (before[tied] > after[tied]).any():
+            return False
+        tied &= before == after
+    return not tied.any()
 
 
 def _distinct_rows(rows: np.ndarray, weights: np.ndarray, vocab: AttributeVocabulary) -> CountTable:
     """The CountTable of an (m x A) code matrix whose row i occurs weights[i] times.
 
     Repeated rows are merged and the rest sorted, so the same multiset of
-    rows gives the same CountTable in any order.
+    rows gives the same CountTable in any order. Rows that are already
+    sorted and distinct, as a model file holds them, are kept as they are.
     """
-    # Sort the rows lexicographically and merge each run of equal rows. lexsort
-    # sorts by its last key first, hence the reversed columns; it is several
-    # times faster than np.unique(rows, axis=0), which sorts structured records.
-    # With no columns there is nothing to sort: every row is the same row.
-    order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-    rows = rows[order]
-    starts = np.ones(len(rows), dtype=bool)
-    np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
-    merged = np.add.reduceat(weights[order], np.flatnonzero(starts))
+    if not _strictly_increasing(rows):
+        # Sort the rows lexicographically and merge each run of equal rows.
+        # lexsort sorts by its last key first, hence the reversed columns; it
+        # is several times faster than np.unique(rows, axis=0), which sorts
+        # structured records. With no columns there is nothing to sort:
+        # every row is the same row.
+        order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+        rows = rows[order]
+        starts = np.ones(len(rows), dtype=bool)
+        np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+        rows, weights = rows[starts], np.add.reduceat(weights[order], np.flatnonzero(starts))
     return CountTable(
-        rows=np.asfortranarray(rows[starts]),
-        multiplicities=merged,
-        num_samples=int(merged.sum()),
+        rows=np.array(rows, order="F"),  # a copy even of a caller's canonical rows
+        multiplicities=weights,
+        num_samples=int(weights.sum()),
         vocab=vocab,
     )
 

@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -411,9 +412,16 @@ def _write_output(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _read_rules_text(path: str) -> str:
-    try:  # utf-8-sig drops a leading byte-order mark
-        return Path(path).read_text(encoding="utf-8-sig")
+@contextmanager
+def _open_rules(path: str):
+    """The rules file, open for reading as text; a byte that is not UTF-8 is a data error.
+
+    utf-8-sig drops a leading byte-order mark, and universal newlines end a
+    line at \\n, \\r\\n or \\r, as parse_ruleset and find_rule expect.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as handle:
+            yield handle
     except UnicodeDecodeError as exc:
         raise RuleforgeError(f"{path}: {exc}") from None
 
@@ -424,7 +432,8 @@ def _warn(path: str, errors: list[ParseError]) -> None:
 
 
 def _read_rules(path: str) -> tuple[list[ParsedRule], list[ParseError]]:
-    rules, errors = parse_ruleset(_read_rules_text(path))
+    with _open_rules(path) as handle:
+        rules, errors = parse_ruleset(handle)
     _warn(path, errors)
     return rules, errors
 
@@ -440,10 +449,15 @@ def _load_seed(args) -> tuple[SmoothedModel, SeedObservation]:
     """The --model file and the observation of the --rules rule with --seed-sid.
 
     Only the lines that may hold the sid are parsed, and only their errors
-    are logged; `parse --lint` reports the rest of the file.
+    are logged; `parse --lint` reports the rest of the file. The rest is
+    still read, a block at a time, so a byte that is not UTF-8 anywhere in
+    the file is a data error.
     """
     model = SmoothedModel.load(args.model)
-    rule, errors = find_rule(_read_rules_text(args.rules), args.seed_sid)
+    with _open_rules(args.rules) as handle:
+        rule, errors = find_rule(handle, args.seed_sid)
+        while handle.read(1 << 16):
+            pass
     _warn(args.rules, errors)
     if rule is None:
         raise RuleforgeError(f"{args.rules}: no rule with sid {args.seed_sid}")
@@ -494,7 +508,7 @@ def _cmd_train(args) -> int:
     )
     model.save(args.out)
     if args.vocab_out:
-        Path(args.vocab_out).write_text(vocab.to_json(), encoding="utf-8")
+        Path(args.vocab_out).write_bytes(vocab.to_json().encode("utf-8"))
     LOG.info(
         "command=train rules=%d attributes=%d alpha=%s model=%s",
         len(rules),

@@ -113,15 +113,25 @@ class AttributeVocabulary:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def sha256(self) -> str:
-        import hashlib
         import json
+
+        # CPython's built-in SHA-256, as random.py takes its SHA-512: hashlib
+        # would load OpenSSL's libcrypto (3.6 MiB of a seed command's peak RSS)
+        # for this one digest. hashlib serves a build without the module.
+        try:
+            from _sha2 import sha256
+        except ImportError:
+            try:
+                from _sha256 import sha256  # its name before Python 3.12
+            except ImportError:
+                from hashlib import sha256
 
         canonical = json.dumps(
             {a: list(self.values[a]) for a in self.attributes},
             sort_keys=True,
             separators=(",", ":"),
         )
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,8 @@ The body is split into options by one compiled regex, matched once per option.
 looks up one rule by sid, as the seed commands do: it parses only the lines
 where a sid segment could carry that sid, found by one regex that never
 misses such a line, and returns the same rule the first match over
-``parse_ruleset`` would.
+``parse_ruleset`` would. Both take the file's text or the open file, which
+they read a line at a time.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ import operator
 import re
 import sys
 from dataclasses import dataclass
+from typing import TextIO
 
 from .errors import RuleforgeError
 
@@ -339,18 +341,22 @@ def _escapes_next(text: str) -> bool:
     return (len(text) - len(text.rstrip("\\"))) % 2 == 1
 
 
-def _logical_lines(text: str):
+def _logical_lines(source: str | TextIO):
     """Yield (first physical line number, joined logical line) pairs.
 
-    Physical lines end only at \\n, \\r\\n or \\r. str.splitlines would also
-    break at form feeds, vertical tabs, U+2028 and other characters that a
-    quoted option value may hold.
+    source is rules text, or a file open in text mode with universal
+    newlines (open's default), read one line at a time. Physical lines end
+    only at \\n, \\r\\n or \\r, as such a file's lines do. str.splitlines
+    would also break at form feeds, vertical tabs, U+2028 and other
+    characters that a quoted option value may hold.
     """
     buffer: list[str] = []
     start_line = 0
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, raw in enumerate(text.split("\n"), start=1):
+    if isinstance(source, str):
+        if "\r" in source:
+            source = source.replace("\r\n", "\n").replace("\r", "\n")
+        source = source.split("\n")
+    for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip()
         if buffer:
             if line.endswith("\\"):
@@ -372,8 +378,8 @@ def _logical_lines(text: str):
         yield start_line, " ".join(part for part in buffer if part)
 
 
-def parse_ruleset(text: str) -> tuple[list[ParsedRule], list[ParseError]]:
-    """Parse a whole rules file.
+def parse_ruleset(text: str | TextIO) -> tuple[list[ParsedRule], list[ParseError]]:
+    """Parse a whole rules file: its text, or the open file (see _logical_lines).
 
     Lines starting with ``#`` are comments; backslash continuations are
     joined. A malformed rule never aborts the run — it is collected as a
@@ -412,13 +418,15 @@ def _may_hold_sid(logical: str, sid: int) -> bool:
     return False
 
 
-def find_rule(text: str, sid: int) -> tuple[ParsedRule | None, list[ParseError]]:
+def find_rule(text: str | TextIO, sid: int) -> tuple[ParsedRule | None, list[ParseError]]:
     """The first rule of a rules file whose sid is ``sid``, parsing only what may hold it.
 
-    Returns the rule that the first ``r.sid == sid`` over ``parse_ruleset(text)``
+    text is the file's text or the open file, as for parse_ruleset. Returns
+    the rule that the first ``r.sid == sid`` over ``parse_ruleset(text)``
     gives (None when there is none), and the errors of the lines that mention
     the sid but failed to parse before it. The other lines are never parsed,
-    so their errors are not reported.
+    so their errors are not reported. No line of an open file after the
+    rule's is taken from it.
     """
     errors: list[ParseError] = []
     for line_no, logical in _logical_lines(text):

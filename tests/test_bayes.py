@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import (
@@ -31,7 +33,9 @@ from ruleforge import (
     predict_mle,
     predict_topk,
 )
-from ruleforge.bayes import posterior_log_scores, predict_mle_rows
+from ruleforge.bayes import _strictly_increasing, posterior_log_scores, predict_mle_rows
+
+DETERMINISTIC = settings(derandomize=True, database=None, deadline=None)
 
 
 def fit_dicts(corpus, alpha=1.0, **kwargs):
@@ -416,6 +420,21 @@ class TestPersistence:
                 == posterior_log_scores(model, codes, target).tobytes()
             )
 
+    def test_failed_save_leaves_the_old_file(self, ten_rule_corpus, tmp_path, monkeypatch):
+        """save builds the text before it opens, and so truncates, the file."""
+        model, _ = fit_dicts(ten_rule_corpus)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        before = path.read_bytes()
+
+        def fail(self):
+            raise RuntimeError("to_json failed")
+
+        monkeypatch.setattr(SmoothedModel, "to_json", fail)
+        with pytest.raises(RuntimeError):
+            model.save(str(path))
+        assert path.read_bytes() == before
+
     def test_load_rejects_other_files(self, tmp_path):
         path = tmp_path / "other.json"
         path.write_text('{"format": "something-else", "version": 1}')
@@ -436,7 +455,7 @@ class TestModelFileBytes:
         assert sum(payload["multiplicities"]) == payload["num_samples"]
         path = tmp_path / "model.json"
         model.save(str(path))
-        assert path.read_text(encoding="utf-8") == text
+        assert path.read_bytes() == text.encode("utf-8")
         assert SmoothedModel.load(str(path)).to_json() == text
 
     def test_sample_netbios_model(self, sample_rules, tmp_path):
@@ -478,6 +497,55 @@ class TestModelFileBytes:
             with_prior=with_prior,
         )
         self.assert_same_bytes(model, tmp_path)
+
+
+@settings(DETERMINISTIC, max_examples=60)
+@given(
+    shape=st.tuples(st.integers(0, 10**6), st.integers(1, 30), st.integers(0, 4), st.integers(1, 3)),
+    data=st.data(),
+)
+def test_shuffled_and_repeated_rows_load_as_the_canonical_file(shape, data, tmp_path_factory):
+    """Each row written as several, all in any order: the same CountTable and bytes."""
+    model, _ = fit_dicts(random_dict_corpus(*shape))
+    canonical = model.to_json()
+    payload = json.loads(canonical)
+    entries = []
+    for row, m in zip(payload["rows"], payload["multiplicities"]):
+        parts = data.draw(st.integers(1, m))
+        entries += [(row, m // parts + (i < m % parts)) for i in range(parts)]
+    entries = data.draw(st.permutations(entries))
+    payload["rows"] = [row for row, _ in entries]
+    payload["multiplicities"] = [m for _, m in entries]
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    loaded, want = SmoothedModel.load(str(path)).counts, model.counts
+    assert loaded.rows.shape == want.rows.shape
+    assert loaded.rows.dtype == want.rows.dtype and loaded.rows.flags.f_contiguous
+    assert np.array_equal(loaded.rows, want.rows)
+    assert loaded.multiplicities.dtype == want.multiplicities.dtype
+    assert np.array_equal(loaded.multiplicities, want.multiplicities)
+    assert (loaded.num_samples, loaded.vocab) == (want.num_samples, want.vocab)
+    assert SmoothedModel.load(str(path)).to_json() == canonical
+
+
+def test_fit_copies_rows_that_are_already_canonical(ten_rule_corpus):
+    model, vocab = fit_dicts(ten_rule_corpus)
+    rows = model.counts.rows  # sorted, distinct and column-major
+    refit = fit(rows, vocab)
+    assert np.array_equal(refit.counts.rows, rows)
+    assert not np.shares_memory(refit.counts.rows, rows)
+
+
+@DETERMINISTIC
+@given(
+    rows=st.integers(0, 3).flatmap(
+        lambda width: st.lists(st.lists(st.integers(0, 2), min_size=width, max_size=width))
+    )
+)
+def test_strictly_increasing_is_tuple_order(rows):
+    matrix = np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
+    expected = all(tuple(a) < tuple(b) for a, b in zip(rows, rows[1:]))
+    assert _strictly_increasing(matrix) == expected
 
 
 def test_fit_keeps_no_dense_pair_tables():

@@ -819,6 +819,20 @@ class TestNonUtf8Input:
         assert record.name == "ruleforge"
         assert record.getMessage().startswith(f"{bad}: 'utf-8' codec can't decode byte 0xe9")
 
+    @pytest.mark.parametrize("command", ["generate", "abduce", "sweep"])
+    def test_bad_byte_far_after_the_seed_is_a_data_error(
+        self, tmp_path, caplog, trained_model, command
+    ):
+        """The seed is on line 1, and the byte lies past any block a first read decodes."""
+        bad = tmp_path / "late.rules"
+        padding = "".join(f"# comment line {i}\n" for i in range(20_000)).encode("utf-8")
+        assert len(padding) > 1 << 18
+        bad.write_bytes(TABLE2_TEXTS[0].encode("utf-8") + b"\n" + padding + b"# caf\xe9\n")
+        argv = self._argv(tmp_path, command, trained_model)
+        assert run([*argv, "--rules", str(bad)]) == 2
+        [record] = [r for r in caplog.records if r.levelname == "ERROR"]
+        assert record.getMessage().startswith(f"{bad}: 'utf-8' codec can't decode byte 0xe9")
+
     @pytest.mark.parametrize("command", COMMANDS)
     def test_config_file_is_a_usage_error(
         self, tmp_path, capsys, table2_file, trained_model, command
@@ -883,6 +897,21 @@ class TestByteOrderMark:
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
         assert outputs[0] and self.BOM not in outputs[0]
+
+    def test_model_file_with_a_mark_loads(self, capsys, trained_model, twins):
+        plain, _ = twins
+        marked = plain.parent / "marked-model.json"
+        with open(trained_model, encoding="utf-8") as handle:
+            text = handle.read()
+        marked.write_bytes((self.BOM + text).encode("utf-8"))
+        assert SmoothedModel.load(str(marked)).to_json() == text
+        outputs = []
+        for model in (trained_model, str(marked)):
+            argv = ["generate", "--model", model, "--rules", str(plain), "--seed-sid", "13162"]
+            assert run(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0]
 
     def test_config_file_with_a_mark_loads(self, tmp_path):
         config = tmp_path / "forge.conf"

@@ -19,10 +19,15 @@ def imported_modules(tree: ast.Module):
             yield None if node.level else node.module.partition(".")[0]
 
 
+# CPython's built-in SHA-256 module is _sha256 up to 3.11 and _sha2 from 3.12;
+# sys.stdlib_module_names lists only the running version's name.
+BUILTIN_SHA256 = {"_sha2", "_sha256"}
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_imports_are_relative_numpy_or_stdlib(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    allowed = sys.stdlib_module_names | {"numpy"}
+    allowed = sys.stdlib_module_names | BUILTIN_SHA256 | {"numpy"}
     outside = {name for name in imported_modules(tree) if name is not None} - allowed
     assert not outside, f"{path.name} imports {sorted(outside)}"
 

@@ -1,6 +1,10 @@
 """Vocabulary construction and categorical encoding."""
 
+import hashlib
+import importlib.util
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -223,6 +227,51 @@ class TestVocabularyLookups:
         assert again.values == vocab.values
         assert again.sha256() == vocab.sha256()
         assert text == again.to_json()
+
+
+# The modules AttributeVocabulary.sha256 tries, in order.
+DIGEST_MODULES = ("_sha2", "_sha256", "hashlib")
+
+# Prints the digest of the vocabulary in argv[2] and which of DIGEST_MODULES
+# are loaded after it, with the modules named in argv[1] blocked.
+DIGEST = f"""
+import json, sys
+for name in filter(None, sys.argv[1].split(",")):
+    sys.modules[name] = None
+from ruleforge.encoding import AttributeVocabulary
+values = {{a: tuple(v) for a, v in json.loads(sys.argv[2]).items()}}
+vocab = AttributeVocabulary(attributes=tuple(sorted(values)), values=values)
+digest = vocab.sha256()
+loaded = [name for name in {DIGEST_MODULES!r} if sys.modules.get(name)]
+print(json.dumps({{"digest": digest, "loaded": loaded}}))
+"""
+
+
+@pytest.mark.parametrize(
+    "blocked", [(), ("_sha2",), ("_sha2", "_sha256")], ids=lambda b: "+".join(b) or "none"
+)
+@pytest.mark.parametrize(
+    "values",
+    [
+        {"content": [UNK, "caf\u00e9", "\U0001d11e", "\x1f\"\\"], "flow": [UNK, "\u2028"]},
+        {"\u00e9t\u00e9": [UNK, "\u65e5\u672c"]},
+        {},
+    ],
+    ids=["non-ascii", "non-ascii-key", "empty"],
+)
+def test_digest_is_sha256_at_every_step_of_the_fallback(values, blocked):
+    """sha256 takes the first module of _sha2, _sha256, hashlib that imports."""
+    canonical = json.dumps(values, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    result = subprocess.run(
+        [sys.executable, "-c", DIGEST, ",".join(blocked), json.dumps(values)], capture_output=True
+    )
+    assert result.returncode == 0, result.stderr.decode()
+    report = json.loads(result.stdout)
+    assert report["digest"] == hashlib.sha256(canonical).hexdigest()
+    available = [m for m in DIGEST_MODULES if m not in blocked and importlib.util.find_spec(m)]
+    assert available[0] in report["loaded"]
+    if available[0] != "hashlib":
+        assert "hashlib" not in report["loaded"]
 
 
 class TestEncodeRule:

@@ -3,6 +3,7 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import io
 import itertools
 import sys
 import time
@@ -80,6 +81,66 @@ COMMENT = st.sampled_from(["# alert tcp any any -> any any (sid:7;)", "  #sid:70
 SEED_TEXT = st.lists(
     st.one_of(SEED_LINE, SPLIT_LINE, COMMENT, RULE_LINE), min_size=1, max_size=8
 ).map("\n".join)
+
+
+# Rules files as bytes: lines that mix \n, \r\n and lone \r, quoted values that
+# hold a form feed or U+2028, maybe a leading byte-order mark, a continuation
+# at the end of the file, and a last line without a line end.
+QUOTED_BREAK = st.builds(
+    'alert tcp any any -> any any (content:"a{}b"; sid:{})'.format,
+    st.sampled_from(["\x0c", "\u2028", "\x0b", "\x85", "\u2029"]),
+    st.sampled_from(["7", "8"]),
+)
+
+
+def rules_file(bom: str, lines: list[str], ends: list[str], tail: str) -> bytes:
+    """lines, each ended by the next of ends in turn, then the tail, as UTF-8."""
+    text = "".join(line + end for line, end in zip(lines, itertools.cycle(ends)))
+    if tail == "no line end" and lines:
+        text = text[: -len(ends[(len(lines) - 1) % len(ends)])]
+    elif tail == "continuation":
+        text += "alert tcp any any -> any any (sid:7) \\"
+    return (bom + text).encode("utf-8")
+
+
+FILE_BYTES = st.builds(
+    rules_file,
+    st.sampled_from(["", "\ufeff"]),
+    st.lists(st.one_of(SEED_LINE, SPLIT_LINE, COMMENT, RULE_LINE, QUOTED_BREAK), max_size=8),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+    st.sampled_from(["line end", "no line end", "continuation"]),
+)
+
+
+def open_text(data: bytes):
+    """data as open(path, encoding="utf-8-sig") reads a file that holds it."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+
+
+@DETERMINISTIC
+@given(data=FILE_BYTES, sid=st.sampled_from([7, 70, 8]))
+@example(data=b"\xef\xbb\xbfalert tcp any any -> any any (sid:7)\r\r\nx\r", sid=7)
+def test_an_open_file_reads_as_its_decoded_text(data, sid):
+    text = data.decode("utf-8-sig")
+    assert parse_ruleset(open_text(data)) == parse_ruleset(text)
+    assert find_rule(open_text(data), sid) == find_rule(text, sid)
+
+
+def test_a_line_end_split_between_reads_is_one_line_end(tmp_path):
+    """A \\r\\n across the text reader's 8 KiB blocks, in a file on disk, ends one line."""
+    good = "alert tcp any any -> any any (sid:1)"
+    bad = "alert tcp any any => any any (sid:2)"
+    text = "#" * 8191 + "\r\n" + good + "\r\n" + bad + "\r\n"
+    assert text[8191:8193] == "\r\n"
+    path = tmp_path / "split.rules"
+    path.write_bytes(text.encode("utf-8"))
+    with open(path, encoding="utf-8-sig") as handle:
+        rules, errors = parse_ruleset(handle)
+    assert (rules, errors) == parse_ruleset(text)
+    assert [rule.sid for rule in rules] == [1]
+    assert [error.line for error in errors] == [3]
+    with open(path, encoding="utf-8-sig") as handle:
+        assert find_rule(handle, 1) == find_rule(text, 1)
 
 
 def parse_outcome(text):

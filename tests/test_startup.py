@@ -2,8 +2,10 @@
 OpenBLAS to one thread.
 
 numpy is imported on first use, so parse, --version and --help run without
-it; parse also runs without json, hashlib and csv. Each check runs in a fresh
-interpreter, because this test process has those modules loaded already.
+it; parse also runs without json, hashlib and csv, and no command that reads
+or writes a model file loads hashlib (and so OpenSSL) for its digest. Each
+check runs in a fresh interpreter, because this test process has those
+modules loaded already.
 Setting ``sys.modules[name] = None`` makes any ``import name`` raise
 ImportError, so a blocked run that matches an unblocked one never touched the
 module.
@@ -49,16 +51,53 @@ def test_parse_runs_the_same_with_json_hashlib_and_csv_blocked(sample_corpus_pat
     assert_same_when_blocked("json,hashlib,csv", argv)
 
 
-def assert_same_when_blocked(modules: str, argv: list[str]) -> None:
-    blocked = python(RUN_CLI, modules, *argv)
-    assert blocked.returncode == 0, blocked.stderr.decode()
-    assert blocked.stdout
-    unblocked = python(RUN_CLI, "", *argv)
-    assert (blocked.returncode, blocked.stdout, blocked.stderr) == (
-        unblocked.returncode,
-        unblocked.stdout,
-        unblocked.stderr,
-    )
+@pytest.fixture(scope="module")
+def sample_model(tmp_path_factory, sample_corpus_path):
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    argv = ["train", "--rules", str(sample_corpus_path), "--out", str(path)]
+    result = subprocess.run([sys.executable, "-m", "ruleforge.cli", *argv], capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["abduce", "--model", "{model}", "--rules", "{corpus}", "--seed-sid", "13162"],
+        ["generate", "--model", "{model}", "--rules", "{corpus}", "--seed-sid", "13162"],
+        ["sweep", "--model", "{model}", "--rules", "{corpus}", "--seed-sid", "13162"],
+    ],
+    ids=["abduce", "generate", "sweep"],
+)
+def test_seed_commands_run_the_same_with_hashlib_blocked(sample_corpus_path, sample_model, argv):
+    """The model's vocabulary digest comes from the built-in SHA-256 module, not OpenSSL."""
+    values = {"model": sample_model, "corpus": sample_corpus_path}
+    assert_same_when_blocked("hashlib", [arg.format(**values) for arg in argv])
+
+
+def test_train_writes_the_same_files_with_hashlib_blocked(tmp_path, sample_corpus_path):
+    model, vocab = tmp_path / "model.json", tmp_path / "vocab.json"
+    argv = ["train", "--rules", str(sample_corpus_path), "--out", str(model)]
+    assert_same_when_blocked("hashlib", [*argv, "--vocab-out", str(vocab)], [model, vocab])
+
+
+def assert_same_when_blocked(modules: str, argv: list[str], outputs=()) -> None:
+    """argv gives the same exit code, stdout, stderr and output files with modules blocked.
+
+    outputs are files the command writes; each is removed before each run.
+    """
+    runs = []
+    for blocked in (modules, ""):
+        for path in outputs:
+            path.unlink(missing_ok=True)
+        result = python(RUN_CLI, blocked, *argv)
+        written = [path.read_bytes() for path in outputs if path.exists()]
+        runs.append((result.returncode, result.stdout, result.stderr, written))
+    returncode, stdout, stderr, written = runs[0]
+    assert returncode == 0, stderr.decode()
+    assert len(written) == len(outputs)
+    assert stdout or (written and all(written))
+    assert runs[0] == runs[1]
 
 
 def test_numpy_access_fails_when_blocked():
