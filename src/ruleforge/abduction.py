@@ -102,7 +102,7 @@ class SeedObservation:
 
 @dataclass
 class CandidateGraph:
-    """Per-attribute value layers; the seed's value always leads each layer."""
+    """Per-attribute value layers; the seed's value leads each layer, and none repeats a value."""
 
     attribute_order: tuple[str, ...]
     layers: dict[str, tuple[str, ...]]
@@ -198,28 +198,16 @@ def build_candidate_graph(
     candidates: Mapping[str, Sequence[str]],
     vocab: AttributeVocabulary,
 ) -> CandidateGraph:
-    """Arrange candidates into ordered layers, seed value first.
+    """Arrange candidates into ordered layers, seed value first, without repeats.
 
     UNK is dropped from header-attribute layers: a header position cannot be
     omitted from a rule, so that candidate is unrealizable.
     """
-    order = vocab.attributes
     layers: dict[str, tuple[str, ...]] = {}
-    for attr in order:
-        seed_value = seed.value_of(vocab, attr)
-        layer = [seed_value]
-        for value in candidates.get(attr, ()):
-            if value == seed_value or value in layer:
-                continue
-            if value == UNK and attr in HEADER_FIELDS:
-                continue
-            layer.append(value)
-        layers[attr] = tuple(layer)
-    return CandidateGraph(attribute_order=order, layers=layers)
-
-
-def _split_composite(value: str) -> list[str]:
-    return value.split(VALUE_JOIN)
+    for attr in vocab.attributes:
+        kept = (v for v in candidates.get(attr, ()) if v != UNK or attr not in HEADER_FIELDS)
+        layers[attr] = tuple(dict.fromkeys([seed.value_of(vocab, attr), *kept]))
+    return CandidateGraph(attribute_order=vocab.attributes, layers=layers)
 
 
 def _apply_combination(
@@ -254,7 +242,7 @@ def _apply_combination(
             changes[key] = "replaced"
             if key not in replaced_done:
                 replaced_done.add(key)
-                for part in _split_composite(value):
+                for part in value.split(VALUE_JOIN):
                     new_options.append(RuleOption(key=key, value=part))
     # attributes the seed lacked, now given a value (insertion path)
     for attr in sorted(assignment):
@@ -265,7 +253,7 @@ def _apply_combination(
             changes[attr] = "kept"
             continue
         changes[attr] = "inserted"
-        for part in _split_composite(value):
+        for part in value.split(VALUE_JOIN):
             new_options.append(RuleOption(key=attr, value=part))
     header = replace(seed_rule.header, **header_fields)
     return ParsedRule(header=header, options=tuple(new_options)), changes
@@ -291,19 +279,13 @@ def enumerate_rules(
         raise CombinationOverflow(f"{total} combinations exceed the limit of {limit}")
     order = graph.attribute_order
     seed_values = {attr: graph.layers[attr][0] for attr in order}
-    result = EnumerationResult()
-    for combo in itertools.product(*(graph.layers[attr] for attr in order)):
-        assignment = dict(zip(order, combo))
-        if assignment == seed_values:
-            continue
-        if len(result.rules) >= limit:
-            result.truncated = True
-            break
-        rule, changes = _apply_combination(seed.rule, assignment, seed_values)
-        result.rules.append(
-            GeneratedRule(rule=rule, seed_sid=seed.seed_sid, changes=changes)
-        )
-    return result
+    # the seed's combination is the product's first: each layer leads with its value
+    combos = itertools.product(*(graph.layers[attr] for attr in order))
+    rules = []
+    for combo in itertools.islice(combos, 1, limit + 1):
+        rule, changes = _apply_combination(seed.rule, dict(zip(order, combo)), seed_values)
+        rules.append(GeneratedRule(rule=rule, seed_sid=seed.seed_sid, changes=changes))
+    return EnumerationResult(rules, truncated=total > limit)
 
 
 def materialize_snort_rules(

@@ -152,12 +152,13 @@ class PosteriorDistribution:
             raise KeyError(f"value {value!r} not in distribution") from None
 
     def ranked(self) -> list[tuple[str, float]]:
-        """Values by descending probability; ties by ascending value string."""
-        order = sorted(
-            range(len(self.values)),
-            key=lambda i: (-self.normalized[i], self.values[i]),
-        )
-        return [(self.values[i], float(self.normalized[i])) for i in order]
+        """Values by descending probability; ties by ascending value string.
+
+        The codes start in string_order and the sort is stable, so ties keep it.
+        """
+        scores = self.normalized.tolist()
+        order = sorted(string_order(self.values).tolist(), key=lambda i: -scores[i])
+        return [(self.values[i], scores[i]) for i in order]
 
 
 @dataclass

@@ -107,17 +107,6 @@ _NON_NEGATIVE = _bounded(float, "a finite number >= 0", lambda v: math.isfinite(
 _PROBABILITY = _bounded(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 
-def _config_fields() -> dict[str, argparse.Action]:
-    """Config key -> the action that declares it, over every subcommand."""
-    _, subs = build_parser()
-    fields: dict[str, argparse.Action] = {}
-    for sub in subs.values():
-        for action in sub._actions:
-            if action.dest not in ("help", "config"):
-                fields.setdefault(action.dest, action)
-    return fields
-
-
 def _coerce_config(key: str, raw: str, action: argparse.Action):
     if action.nargs == 0:  # store_true
         word = raw.strip().lower()
@@ -139,15 +128,25 @@ def _coerce_config(key: str, raw: str, action: argparse.Action):
     return value
 
 
-def load_config(path: str) -> dict:
-    """Read a flat key = value config file; a line starting with '#' is a comment."""
+def load_config(path: str, subs: dict[str, argparse.ArgumentParser] | None = None) -> dict:
+    """Read a flat key = value config file; a line starting with '#' is a comment.
+
+    Its keys are the flags of subs, build_parser's subcommands (built here if
+    not given).
+    """
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise UsageError(f"cannot read config file: {exc}") from None
     except UnicodeDecodeError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
-    fields = _config_fields()
+    if subs is None:
+        _, subs = build_parser()
+    fields: dict[str, argparse.Action] = {}
+    for sub in subs.values():
+        for action in sub._actions:
+            if action.dest not in ("help", "config"):
+                fields.setdefault(action.dest, action)
     values: dict = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -482,14 +481,15 @@ def _distance_params(args) -> DistanceParams:
 
 
 def _cmd_parse(args) -> int:
-    rules, errors = _read_rules(args.rules)
+    # the diagnostics are this command's output, written once and not logged
+    with _open_rules(args.rules) as handle:
+        rules, errors = parse_ruleset(handle)
+    lines = [f"{args.rules}:{e.line}: {e.message}\n" for e in errors]
     if args.lint:
-        lines = [f"{args.rules}:{e.line}: {e.message}" for e in errors]
-        lines.append(f"parsed {len(rules)} rules, {len(errors)} errors")
-        _write_output(args, "\n".join(lines) + "\n")
+        lines.append(f"parsed {len(rules)} rules, {len(errors)} errors\n")
+        _write_output(args, "".join(lines))
         return 0
-    for err in errors:
-        sys.stderr.write(f"{args.rules}:{err.line}: {err.message}\n")
+    sys.stderr.write("".join(lines))
     body = "".join(serialize_rule(rule) + "\n" for rule in rules)
     _write_output(args, body)
     return 2 if errors else 0
@@ -527,15 +527,12 @@ def _cmd_abduce(args) -> int:
     posteriors = seed_posteriors(model, seed, allow_insertion=args.allow_insertion)
     candidates = select_candidates(vocab, seed, _strategy(args), posteriors)
     targets = [args.target] if args.target else vocab.attributes
-    lines: list[str] = []
-    for attribute in targets:
-        wanted = set(candidates[attribute])
-        if not wanted:
-            continue
-        for value, probability in posteriors[attribute].ranked():
-            if value in wanted:
-                lines.append(f"{attribute}\t{value}\t{probability:.6f}")
-    _write_output(args, "".join(line + "\n" for line in lines))
+    lines = [
+        f"{attribute}\t{value}\t{posteriors[attribute].probability(value):.6f}\n"
+        for attribute in targets
+        for value in candidates[attribute]  # in ranked order
+    ]
+    _write_output(args, "".join(lines))
     return 0
 
 
@@ -584,6 +581,8 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    if args.cluster_train_only and not args.with_clusters:
+        raise UsageError("--cluster-train-only needs --with-clusters")
     params = _distance_params(args)
     rules, _ = _read_rules(args.rules)
     spec = SplitSpec(folds=args.folds, rng_seed=args.seed)
@@ -651,8 +650,8 @@ def run(argv=None) -> int:
 def _run(argv: list[str]) -> int:
     try:
         config_path = _extract_config_path(argv)
-        config = load_config(config_path) if config_path else {}
         parser, subs = build_parser()
+        config = load_config(config_path, subs) if config_path else {}
         for sub in subs.values():
             for action in sub._actions:
                 if action.dest in config:  # a flag the file supplies is no longer required
@@ -680,6 +679,9 @@ def main() -> None:
     # row-block product, is no slower on one thread. Only this entry point pins
     # it: a value already set is kept, and run() leaves the environment alone.
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+    # stdout carries the bytes --out would, whatever the locale's encoding;
+    # run() leaves the caller's streams alone
+    sys.stdout.reconfigure(encoding="utf-8", newline="\n")
     sys.exit(run())
 
 

@@ -22,7 +22,7 @@ lacks -1 instead, so in evaluation's held-out truth it matches no prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from ._numpy import np
@@ -70,25 +70,14 @@ class AttributeVocabulary:
 
     attributes: tuple[str, ...]
     values: dict[str, tuple[str, ...]]
-    _index: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._index = {
-            attr: {value: i for i, value in enumerate(vals)}
-            for attr, vals in self.values.items()
-        }
 
     def size(self, attribute: str) -> int:
         return len(self._values_for(attribute))
 
     def index_of(self, attribute: str, value: str | None) -> int:
         """Index of value for attribute; unseen values map to UNK (index 0)."""
-        table = self._index.get(attribute)
-        if table is None:
-            raise UnknownAttribute(f"attribute {attribute!r} not in vocabulary")
-        if value is None:
-            return 0
-        return table.get(value, 0)
+        values = self._values_for(attribute)
+        return values.index(value) if value in values else 0
 
     def value_at(self, attribute: str, index: int) -> str:
         return self._values_for(attribute)[index]
@@ -209,7 +198,7 @@ def encode_codes(table: Factorized, vocab: AttributeVocabulary) -> np.ndarray:
     for a, attr in enumerate(vocab.attributes):
         k = column_of.get(attr)
         if k is not None:
-            index = vocab._index[attr]
+            index = {value: i for i, value in enumerate(vocab.values[attr])}
             # the trailing 0 is where code -1 (key absent) looks
             lookup = np.array([index.get(v, -1) for v in table.values[k]] + [0], dtype=np.int64)
             encoded[:, a] = lookup[table.codes[:, k]]

@@ -29,6 +29,7 @@ they read a line at a time.
 
 from __future__ import annotations
 
+import io
 import operator
 import re
 import sys
@@ -345,17 +346,15 @@ def _logical_lines(source: str | TextIO):
     """Yield (first physical line number, joined logical line) pairs.
 
     source is rules text, or a file open in text mode with universal
-    newlines (open's default), read one line at a time. Physical lines end
-    only at \\n, \\r\\n or \\r, as such a file's lines do. str.splitlines
+    newlines (open's default), read one line at a time; text is read as
+    such a file. Physical lines end only at \\n, \\r\\n or \\r. str.splitlines
     would also break at form feeds, vertical tabs, U+2028 and other
     characters that a quoted option value may hold.
     """
     buffer: list[str] = []
     start_line = 0
     if isinstance(source, str):
-        if "\r" in source:
-            source = source.replace("\r\n", "\n").replace("\r", "\n")
-        source = source.split("\n")
+        source = io.StringIO(source, newline=None)
     for line_no, raw in enumerate(source, start=1):
         line = raw.rstrip()
         if buffer:

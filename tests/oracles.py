@@ -4,7 +4,9 @@ Everything here is deliberately naive: plain dicts, quadratic loops, full DP
 matrices, and brute-force cluster merging. None of it shares code with the
 package beyond the UNK sentinel string, so agreement is meaningful. The
 exceptions are the package's own earlier implementations, kept as references
-for the faster code that replaced them: posterior_loop scores a fitted model
+for the code that replaced them: ranked_order sorts a posterior's values by
+one (probability, string) key where the package sorts a string order by
+probability alone, posterior_loop scores a fitted model
 one record at a time, dense_pair_counts counts every cell of every pair table,
 split_options splits a rule body one character at a time, find_rule looks
 a sid up by parsing the whole file, merge_sequence agglomerates with
@@ -127,6 +129,11 @@ def posterior(
 
 def posterior_argmax(distribution: dict[str, float]) -> str:
     return min(distribution, key=lambda value: (-distribution[value], value))
+
+
+def ranked_order(values: Sequence[str], probabilities: Sequence[float]) -> list[int]:
+    """Indices by descending probability, ties by ascending value string, in one key."""
+    return sorted(range(len(values)), key=lambda i: (-probabilities[i], values[i]))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +432,7 @@ def encode_corpus(rules: Sequence[ParsedRule], vocab: AttributeVocabulary) -> np
 def encode_rows(rows: Sequence[dict[str, str]], vocab: AttributeVocabulary) -> np.ndarray:
     """encode_corpus of the rules whose attribute_values() dicts are rows."""
     attrs = vocab.attributes
-    tables = [vocab._index[attr] for attr in attrs]
+    tables = [{value: i for i, value in enumerate(vocab.values[attr])} for attr in attrs]
     unk = [0] * len(attrs)
     flat = itertools.chain.from_iterable(
         map(dict.get, tables, map(row.get, attrs), unk) for row in rows

@@ -566,3 +566,20 @@ def test_fit_keeps_no_dense_pair_tables():
     assert peak < dense_bytes / 4
     for (a, b), table in oracles.dense_pair_counts(codes, vocab).items():
         assert np.array_equal(model.counts.pair(a, b), table)
+
+
+@DETERMINISTIC
+@given(
+    others=st.sets(st.sampled_from(["$HOME_NET", "80", "UNKNOWN", "any", "smb", "x"])),
+    data=st.data(),
+)
+def test_ranked_is_the_one_key_sort(others, data):
+    """ranked() against oracles.ranked_order, over distributions full of exact ties."""
+    values = (UNK, *sorted(others))
+    # few distinct log scores, so many probabilities are exactly equal
+    scores = st.lists(st.integers(-3, 0), min_size=len(values), max_size=len(values))
+    log_scores = np.array(data.draw(scores), dtype=np.float64)
+    normalized = bayes._normalize(log_scores)
+    distribution = bayes.PosteriorDistribution("a", values, log_scores, normalized)
+    expected = oracles.ranked_order(values, normalized.tolist())
+    assert distribution.ranked() == [(values[i], float(normalized[i])) for i in expected]

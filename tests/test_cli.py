@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import os
 import subprocess
 import sys
 
@@ -500,6 +501,19 @@ class TestClusterIdOption:
 
 
 class TestEvaluate:
+    def test_cluster_train_only_needs_with_clusters(self, capsys, corpus):
+        assert run(["evaluate", "--rules", corpus, "--folds", "3", "--cluster-train-only"]) == 1
+        assert capsys.readouterr().err == (
+            "usage error: --cluster-train-only needs --with-clusters\n"
+        )
+
+    def test_cluster_train_only_from_config_needs_with_clusters(self, tmp_path, capsys, corpus):
+        config = tmp_path / "run.conf"
+        config.write_text("cluster_train_only = true\n", encoding="utf-8")
+        argv = ["evaluate", "--rules", corpus, "--folds", "3", "--config", str(config)]
+        assert run(argv) == 1
+        assert "--cluster-train-only needs --with-clusters" in capsys.readouterr().err
+
     def test_csv_report(self, capsys, corpus):
         code = run(["evaluate", "--rules", corpus, "--folds", "3"])
         assert code == 0
@@ -1015,3 +1029,50 @@ class TestConsoleScript:
         assert result.returncode == 2
         assert result.stderr.startswith(f"ERROR ruleforge {bad}: 'utf-8' codec can't decode")
         assert "Traceback" not in result.stderr
+
+    @pytest.fixture
+    def one_bad_line(self, tmp_path):
+        bad = tmp_path / "bad.rules"
+        bad.write_text(
+            "alert tcp any any -> any 445 (sid:1;)\nalert tcp any any => any 445 (sid:2;)\n",
+            encoding="utf-8",
+        )
+        return bad
+
+    def test_parse_reports_a_malformed_line_once(self, one_bad_line):
+        # in a child process: pytest's log capture would hide a logged duplicate
+        result = subprocess.run(
+            [sys.executable, "-m", "ruleforge.cli", "parse", "--rules", str(one_bad_line)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.splitlines() == [
+            f"{one_bad_line}:2: invalid direction token '=>' (byte offset 18)"
+        ]
+
+    def test_lint_reports_a_malformed_line_only_on_stdout(self, one_bad_line):
+        result = subprocess.run(
+            [sys.executable, "-m", "ruleforge.cli", "parse", "--rules", str(one_bad_line), "--lint"],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 0
+        assert result.stderr == ""
+        assert result.stdout.splitlines() == [
+            f"{one_bad_line}:2: invalid direction token '=>' (byte offset 18)",
+            "parsed 1 rules, 1 errors",
+        ]
+
+    def test_stdout_is_utf8_in_an_ascii_locale(self, tmp_path):
+        rules = tmp_path / "cafe.rules"
+        rules.write_text('alert tcp any any -> any 80 (msg:"caf\u00e9"; sid:1;)\n', encoding="utf-8")
+        out = tmp_path / "cafe.out"
+        argv = [sys.executable, "-m", "ruleforge.cli", "parse", "--rules", str(rules)]
+        assert subprocess.run([*argv, "--out", str(out)]).returncode == 0
+        result = subprocess.run(
+            argv, capture_output=True, env={**os.environ, "PYTHONIOENCODING": "ascii"}
+        )
+        assert result.returncode == 0, result.stderr.decode("utf-8", "replace")
+        assert result.stdout == out.read_bytes()
+        assert "caf\u00e9".encode("utf-8") in result.stdout

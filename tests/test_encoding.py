@@ -205,10 +205,13 @@ class TestVocabularyLookups:
     def test_unseen_value_maps_to_unk(self, vocab):
         assert vocab.index_of("flow", "never-seen") == 0
         assert vocab.index_of("flow", None) == 0
+        assert vocab.index_of("flow", UNK) == 0
 
     def test_unknown_attribute_raises(self, vocab):
         with pytest.raises(UnknownAttribute):
             vocab.index_of("nope", "a")
+        with pytest.raises(UnknownAttribute):
+            vocab.index_of("nope", None)
         with pytest.raises(UnknownAttribute):
             vocab.value_at("nope", 0)
 

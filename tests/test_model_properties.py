@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import oracles
 from conftest import MODEL_CONFIGS, encode_dicts, vocabulary_from_dicts
 from ruleforge import (
+    UNK,
     SeedObservation,
     SmoothedModel,
     Strategy,
@@ -29,6 +30,7 @@ from ruleforge import (
     predict_distribution,
 )
 from ruleforge.abduction import DEFAULT_SID_BASE
+from ruleforge.parser import HEADER_FIELDS
 from ruleforge.bayes import posterior_log_scores
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -218,3 +220,42 @@ def test_materialized_rules_reparse_with_contiguous_sids(
     assert [rule.sid for rule in parsed] == list(range(sid_base, sid_base + len(result)))
     for again, generated in zip(parsed, result):
         assert again.attribute_values() == generated.rule.attribute_values()
+
+
+@DETERMINISTIC
+@given(corpus=CORPUS, seed_index=st.integers(0, 11), data=st.data())
+def test_layers_lead_with_the_seed_without_repeats(corpus, seed_index, data):
+    """Any candidate lists, seed value, repeats and UNK included, give well-formed layers."""
+    vocab = vocabulary_from_dicts(corpus)
+    row = corpus[seed_index % len(corpus)]
+    seed = SeedObservation.from_rule(parse_rule(render(row, sid=7)), vocab)
+    candidates = {
+        attr: data.draw(st.lists(st.sampled_from(vocab.values[attr]), max_size=6))
+        for attr in vocab.attributes
+    }
+    graph = build_candidate_graph(seed, candidates, vocab)
+    assert graph.attribute_order == vocab.attributes
+    for attr in vocab.attributes:
+        layer = graph.layers[attr]
+        assert layer[0] == row.get(attr, UNK)
+        assert len(set(layer)) == len(layer)
+        assert set(layer[1:]) <= set(candidates[attr])
+        if attr in HEADER_FIELDS:
+            assert UNK not in layer
+
+
+@DETERMINISTIC
+@given(
+    corpus=CORPUS,
+    seed_index=st.integers(0, 11),
+    strategy=STRATEGY,
+    allow_insertion=st.booleans(),
+)
+def test_enumerated_rules_differ_from_the_seed_and_each_other(
+    corpus, seed_index, strategy, allow_insertion
+):
+    _, result = generate(corpus, seed_index, strategy, allow_insertion, limit=200)
+    for generated in result:
+        assert set(generated.changes.values()) != {"kept"}
+    keys = [tuple(sorted(g.rule.attribute_values().items())) for g in result]
+    assert len(set(keys)) == len(keys)
