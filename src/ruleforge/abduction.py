@@ -10,6 +10,9 @@ valid snort rules.
 A candidate value of UNK means "drop the attribute": the materialized rule
 omits it. Attributes the seed does not carry receive no candidates unless
 allow_insertion is set, so generation is replacement-only by default.
+
+threshold_sweep counts, for a grid of thresholds, how many rules the seed
+would yield, from one set of posteriors.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .parser import (
 
 DEFAULT_LIMIT = 10_000
 DEFAULT_SID_BASE = 250_001
+STRATEGY_CHOICES = ("threshold", "topk", "mle")
 
 
 class CombinationOverflow(RuleforgeError):
@@ -143,6 +147,18 @@ class EnumerationResult(Sequence):
         return iter(self.rules)
 
 
+@dataclass
+class ThresholdSweepResult:
+    """Generated-rule counts over an ascending threshold grid."""
+
+    points: tuple[tuple[float, int], ...]
+
+    def to_csv(self) -> str:
+        """CSV with header threshold,generated_rules; no field ever needs quoting."""
+        rows = [f"{threshold!r},{count}\n" for threshold, count in self.points]
+        return "".join(["threshold,generated_rules\n", *rows])
+
+
 def abduce_antecedents(
     model: SmoothedModel,
     seed: SeedObservation,
@@ -208,6 +224,36 @@ def build_candidate_graph(
         kept = (v for v in candidates.get(attr, ()) if v != UNK or attr not in HEADER_FIELDS)
         layers[attr] = tuple(dict.fromkeys([seed.value_of(vocab, attr), *kept]))
     return CandidateGraph(attribute_order=vocab.attributes, layers=layers)
+
+
+def threshold_sweep(
+    model: SmoothedModel,
+    seed: SeedObservation,
+    thresholds: Sequence[float],
+    *,
+    limit: int = DEFAULT_LIMIT,
+    allow_insertion: bool = False,
+) -> ThresholdSweepResult:
+    """Generated-rule count at each threshold; thresholds must ascend.
+
+    A count is enumerate_rules' length, min(combinations - 1, limit): each
+    graph layer leads with the seed's value and holds no repeats.
+    """
+    if not thresholds:
+        raise ValueError("thresholds must be non-empty")
+    if list(thresholds) != sorted(thresholds):
+        raise ValueError("thresholds must be sorted ascending")
+    if limit < 0:
+        raise ValueError(f"limit must be >= 0, got {limit}")
+    posteriors = seed_posteriors(model, seed, allow_insertion=allow_insertion)
+    points: list[tuple[float, int]] = []
+    for threshold in thresholds:
+        candidates = select_candidates(
+            model.vocab, seed, Strategy.threshold(threshold), posteriors
+        )
+        graph = build_candidate_graph(seed, candidates, model.vocab)
+        points.append((float(threshold), min(graph.total_combinations() - 1, limit)))
+    return ThresholdSweepResult(points=tuple(points))
 
 
 def _apply_combination(

@@ -16,7 +16,6 @@ supply a flag that is otherwise required.
 from __future__ import annotations
 
 import argparse
-import io
 import logging
 import math
 import os
@@ -27,6 +26,7 @@ from pathlib import Path
 from . import __version__
 from .abduction import (
     DEFAULT_SID_BASE,
+    STRATEGY_CHOICES,
     SeedObservation,
     Strategy,
     abduce_antecedents,
@@ -35,6 +35,7 @@ from .abduction import (
     materialize_snort_rules,
     seed_posteriors,
     select_candidates,
+    threshold_sweep,
 )
 # predict_distribution is not called here; perfbench/tracing.py wraps it under
 # this module's name
@@ -47,7 +48,7 @@ from .encoding import (
     encode_corpus,
 )
 from .errors import RuleforgeError
-from .evaluation import SplitSpec, loco_evaluate, threshold_sweep
+from .evaluation import SplitSpec, loco_evaluate
 from .parser import (
     IDENTITY_KEYS,
     ParseError,
@@ -58,8 +59,6 @@ from .parser import (
 )
 
 LOG = logging.getLogger("ruleforge")
-
-STRATEGY_CHOICES = ("threshold", "topk", "mle")
 
 
 class UsageError(Exception):
@@ -565,15 +564,11 @@ def _cmd_cluster(args) -> int:
     assignment = agglomerate(
         matrix, args.linkage, cut_height=args.cut_height, cut_count=args.cut_count
     )
-    import csv  # here, not at the top: parse never loads it
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["sid", "cluster_id"])
+    # integers and empty sids: no field needs csv's quoting
     labels = assignment.labels.tolist()
-    for rule, label in zip(rules, labels):
-        writer.writerow(["" if rule.sid is None else rule.sid, label])
-    _write_output(args, buffer.getvalue())
+    sids = ("" if rule.sid is None else rule.sid for rule in rules)
+    rows = [f"{sid},{label}\n" for sid, label in zip(sids, labels)]
+    _write_output(args, "".join(["sid,cluster_id\n", *rows]))
     LOG.info(
         "command=cluster rules=%d clusters=%d linkage=%s", len(rules), max(labels) + 1, args.linkage
     )

@@ -1,4 +1,4 @@
-"""Leave-one-condition-out evaluation, baselines, and threshold sweeps.
+"""Leave-one-condition-out evaluation and its baselines.
 
 The protocol: shuffle the corpus with a fixed seed, split it into k folds,
 and for each fold fit the model on the remaining rules. For every test rule
@@ -24,19 +24,11 @@ from typing import Sequence
 
 from ._numpy import np
 
-from .abduction import (
-    SeedObservation,
-    Strategy,
-    build_candidate_graph,
-    seed_posteriors,
-    select_candidates,
-)
 # predict_distribution, encode_rule and build_vocabulary are not called here;
 # perfbench/tracing.py wraps them under this module's name
-from .bayes import SmoothedModel, fit, predict_distribution, predict_mle_rows
+from .bayes import fit, predict_distribution, predict_mle_rows
 from .clustering import DistanceMatrix, DistanceParams, agglomerate, build_distance_matrix
 from .encoding import (
-    CLUSTER_ATTRIBUTE,
     UNK,
     ExclusionList,
     attach_cluster_feature,
@@ -107,23 +99,6 @@ class AttributeAccuracyReport:
                 writer.writerow(
                     [attribute, classifier, "mean", f"{self.mean(attribute, classifier):.6f}"]
                 )
-        return buffer.getvalue()
-
-
-@dataclass
-class ThresholdSweepResult:
-    """Generated-rule counts over an ascending threshold grid."""
-
-    points: tuple[tuple[float, int], ...]
-
-    def to_csv(self) -> str:
-        import csv
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["threshold", "generated_rules"])
-        for threshold, count in self.points:
-            writer.writerow([repr(threshold), count])
         return buffer.getvalue()
 
 
@@ -286,33 +261,3 @@ def loco_evaluate(
         folds=spec.folds,
         accuracies=accuracies,
     )
-
-
-def threshold_sweep(
-    model: SmoothedModel,
-    seed: SeedObservation,
-    thresholds: Sequence[float],
-    *,
-    limit: int = 10_000,
-    allow_insertion: bool = False,
-) -> ThresholdSweepResult:
-    """Generated-rule count at each threshold; thresholds must ascend.
-
-    A count is enumerate_rules' length, min(combinations - 1, limit): each
-    graph layer leads with the seed's value and holds no repeats.
-    """
-    if not thresholds:
-        raise ValueError("thresholds must be non-empty")
-    if list(thresholds) != sorted(thresholds):
-        raise ValueError("thresholds must be sorted ascending")
-    if limit < 0:
-        raise ValueError(f"limit must be >= 0, got {limit}")
-    posteriors = seed_posteriors(model, seed, allow_insertion=allow_insertion)
-    points: list[tuple[float, int]] = []
-    for threshold in thresholds:
-        candidates = select_candidates(
-            model.vocab, seed, Strategy.threshold(threshold), posteriors
-        )
-        graph = build_candidate_graph(seed, candidates, model.vocab)
-        points.append((float(threshold), min(graph.total_combinations() - 1, limit)))
-    return ThresholdSweepResult(points=tuple(points))

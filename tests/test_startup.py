@@ -2,10 +2,11 @@
 OpenBLAS to one thread.
 
 numpy is imported on first use, so parse, --version and --help run without
-it; parse also runs without json, hashlib and csv, and no command that reads
-or writes a model file loads hashlib (and so OpenSSL) for its digest. Each
-check runs in a fresh interpreter, because this test process has those
-modules loaded already.
+it; parse, cluster and sweep also run without csv, parse without json and
+hashlib, and no command that reads or writes a model file loads hashlib (and
+so OpenSSL) for its digest. No command loads numpy.ma, and importing the
+package loads none of its modules. Each check runs in a fresh interpreter,
+because this test process has those modules loaded already.
 Setting ``sys.modules[name] = None`` makes any ``import name`` raise
 ImportError, so a blocked run that matches an unblocked one never touched the
 module.
@@ -60,19 +61,27 @@ def sample_model(tmp_path_factory, sample_corpus_path):
     return path
 
 
+SEED = ["--model", "{model}", "--rules", "{corpus}", "--seed-sid", "13162"]
+
+
 @pytest.mark.parametrize(
     "argv",
-    [
-        ["abduce", "--model", "{model}", "--rules", "{corpus}", "--seed-sid", "13162"],
-        ["generate", "--model", "{model}", "--rules", "{corpus}", "--seed-sid", "13162"],
-        ["sweep", "--model", "{model}", "--rules", "{corpus}", "--seed-sid", "13162"],
-    ],
+    [["abduce", *SEED], ["generate", *SEED], ["sweep", *SEED]],
     ids=["abduce", "generate", "sweep"],
 )
 def test_seed_commands_run_the_same_with_hashlib_blocked(sample_corpus_path, sample_model, argv):
     """The model's vocabulary digest comes from the built-in SHA-256 module, not OpenSSL."""
     values = {"model": sample_model, "corpus": sample_corpus_path}
     assert_same_when_blocked("hashlib", [arg.format(**values) for arg in argv])
+
+
+@pytest.mark.parametrize(
+    "argv", [["cluster", "--rules", "{corpus}"], ["sweep", *SEED]], ids=["cluster", "sweep"]
+)
+def test_csv_output_runs_the_same_with_csv_blocked(sample_corpus_path, sample_model, argv):
+    """cluster's and sweep's rows hold no field that csv would quote."""
+    values = {"model": sample_model, "corpus": sample_corpus_path}
+    assert_same_when_blocked("csv", [arg.format(**values) for arg in argv])
 
 
 def test_train_writes_the_same_files_with_hashlib_blocked(tmp_path, sample_corpus_path):
@@ -100,6 +109,35 @@ def assert_same_when_blocked(modules: str, argv: list[str], outputs=()) -> None:
     assert runs[0] == runs[1]
 
 
+RUN_CLI_WITHOUT_LOADING = """
+import sys
+from ruleforge.cli import run
+code = run(sys.argv[2:])
+loaded = [name for name in sys.argv[1].split(",") if name in sys.modules]
+sys.exit(f"loaded {loaded}" if loaded else code)
+"""
+
+EVALUATE = ["evaluate", "--rules", "{corpus}", "--folds", "3"]
+COMMANDS = {
+    "parse-lint": ["parse", "--rules", "{corpus}", "--lint"],
+    "train": ["train", "--rules", "{corpus}", "--out", "{out}"],
+    "abduce": ["abduce", *SEED],
+    "generate": ["generate", *SEED],
+    "sweep": ["sweep", *SEED],
+    "cluster": ["cluster", "--rules", "{corpus}"],
+    "evaluate": EVALUATE,
+    "evaluate-clusters": [*EVALUATE, "--with-clusters", "--cluster-train-only"],
+}
+
+
+@pytest.mark.parametrize("argv", COMMANDS.values(), ids=COMMANDS.keys())
+def test_no_command_loads_numpy_ma(sample_corpus_path, sample_model, tmp_path, argv):
+    """A plain np.unique(x) imports numpy.ma (12-20 ms and 1.7 MiB a command)."""
+    values = {"model": sample_model, "corpus": sample_corpus_path, "out": tmp_path / "m.json"}
+    result = python(RUN_CLI_WITHOUT_LOADING, "numpy.ma", *[arg.format(**values) for arg in argv])
+    assert result.returncode == 0, result.stderr.decode()
+
+
 def test_numpy_access_fails_when_blocked():
     result = python(
         'import sys; sys.modules["numpy"] = None\n'
@@ -114,6 +152,60 @@ def test_importing_the_package_does_not_load_numpy():
         "import sys\nimport ruleforge\nfrom ruleforge import *\n"
         'assert "numpy" not in sys.modules, "numpy was imported"\n'
     )
+    assert result.returncode == 0, result.stderr.decode()
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    result = python(
+        "import sys\nimport ruleforge\n"
+        'loaded = [name for name in sys.modules if name.startswith("ruleforge.")]\n'
+        'assert not loaded and "numpy" not in sys.modules, loaded\n'
+        'assert not hasattr(ruleforge, "parser"), "ruleforge.parser resolved before its import"\n'
+        "assert set(ruleforge.__all__) <= set(dir(ruleforge))\n"
+    )
+    assert result.returncode == 0, result.stderr.decode()
+
+
+PUBLIC_NAMES_ARE_THEIR_MODULES_OBJECTS = """
+import importlib
+import ruleforge
+names = {}
+exec("from ruleforge import *", names)
+assert sorted(set(names) - {"__builtins__"}) == sorted(ruleforge.__all__)
+assert len(set(ruleforge.__all__)) == len(ruleforge.__all__)
+for name in ruleforge.__all__[1:]:  # after __version__
+    module = importlib.import_module(f"ruleforge.{ruleforge._MODULE_OF[name]}")
+    assert names[name] is getattr(module, name) is getattr(ruleforge, name), name
+    # the table names the module that defines it, not one that imports it
+    assert getattr(names[name], "__module__", module.__name__) == module.__name__, name
+"""
+
+
+def test_each_public_name_is_the_object_its_module_defines():
+    result = python(PUBLIC_NAMES_ARE_THEIR_MODULES_OBJECTS)
+    assert result.returncode == 0, result.stderr.decode()
+
+
+IMPORT_BLOCKED = """
+import sys
+for name in sys.argv[1].split(","):
+    sys.modules[name] = None
+"""
+
+
+@pytest.mark.parametrize(
+    "blocked, statement",
+    [
+        ("ruleforge.abduction", "import ruleforge.evaluation"),
+        (
+            "ruleforge.evaluation,ruleforge.clustering",
+            "from ruleforge.abduction import threshold_sweep",
+        ),
+    ],
+    ids=["evaluation-without-abduction", "sweep-without-evaluation"],
+)
+def test_evaluation_and_the_seed_side_import_apart(blocked, statement):
+    result = python(IMPORT_BLOCKED + statement, blocked)
     assert result.returncode == 0, result.stderr.decode()
 
 
