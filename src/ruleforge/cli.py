@@ -560,9 +560,13 @@ def _cmd_generate(args) -> int:
 def _cmd_cluster(args) -> int:
     params = _distance_params(args)
     rules, _ = _read_rules(args.rules)
-    matrix = build_distance_matrix(rules, params)
+    # D is needed for nothing else: merge in its own storage
     assignment = agglomerate(
-        matrix, args.linkage, cut_height=args.cut_height, cut_count=args.cut_count
+        build_distance_matrix(rules, params),
+        args.linkage,
+        cut_height=args.cut_height,
+        cut_count=args.cut_count,
+        overwrite=True,
     )
     # integers and empty sids: no field needs csv's quoting
     labels = assignment.labels.tolist()

@@ -15,10 +15,13 @@ bit-parallel algorithm, one lane per pair and one text character per step,
 over uint64 masks of as many words as the longest value needs; levenshtein
 and rule_distance call the same kernel. Clustering is plain bottom-up
 agglomeration over the precomputed matrix with single/complete/average
-linkage, in one working copy of it, with each row's nearest neighbour
-cached; equal-distance merge candidates are broken deterministically toward
-the lowest index pair, exactly as a scan of the whole matrix would. A cut's
-labels are one int array over the rules.
+linkage, with each row's nearest neighbour cached; equal-distance merge
+candidates are broken deterministically toward the lowest index pair,
+exactly as a scan of the whole matrix would. The merge needs one n x n
+working array: by default a copy of D, so the caller's matrix is left as it
+was; a caller that owns D and needs it no longer passes overwrite=True, and
+the merge runs in D's own storage. A cut's labels are one int array over the
+rules.
 """
 
 from __future__ import annotations
@@ -66,13 +69,20 @@ class DistanceMatrix:
         matrix = np.asarray(self.entries, dtype=np.float64)
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise ValueError("distance matrix must be square")
-        if not np.isfinite(matrix).all():
+        # each check reads every row block before the next starts, so a matrix
+        # that breaks several rules names the first rule it breaks; a block's
+        # cells left of its first row were compared as an earlier block's
+        blocks = _row_blocks(matrix.shape[0])
+        if not all(np.isfinite(matrix[rows]).all() for rows in blocks):
             raise ValueError("distances must be finite")
-        if not np.array_equal(matrix, matrix.T):
+        if not all(
+            np.array_equal(matrix[rows, rows.start :], matrix[rows.start :, rows].T)
+            for rows in blocks
+        ):
             raise ValueError("distance matrix must be symmetric")
         if np.diag(matrix).any():
             raise ValueError("distance matrix diagonal must be zero")
-        if (matrix < 0).any():
+        if any((matrix[rows] < 0).any() for rows in blocks):
             raise ValueError("distances must be non-negative")
         self.entries = matrix
 
@@ -102,11 +112,21 @@ class ClusterAssignment:
         return groups
 
 
-# Cells of D assembled per numpy step, and value pairs run per block of the
-# edit-distance kernel, so each 8-byte temporary of a step stays near
-# 128 KiB. At n = 500 the cluster command's peak RSS measured 1.2 MiB lower
-# than with 512 KiB steps of D, at the same speed.
+# Cells of D assembled or checked per numpy step, and value pairs run per
+# block of the edit-distance kernel, so each 8-byte temporary of a step stays
+# near 128 KiB. At n = 500 the cluster command's peak RSS measured 1.2 MiB
+# lower than with 512 KiB steps of D, at the same speed.
 _BLOCK_CELLS = 1 << 14
+# Fewest rows of D per step. At n = 5000 the cell budget alone gives 3-row
+# steps: build_distance_matrix took 1.5-1.6 s with them and 1.1-1.3 s with
+# 16-row steps (in-process, 2-vCPU VM).
+_BLOCK_ROWS = 16
+
+
+def _row_blocks(n: int) -> list[slice]:
+    """Row slices covering 0..n-1, of _BLOCK_CELLS cells or _BLOCK_ROWS rows."""
+    step = max(_BLOCK_ROWS, _BLOCK_CELLS // max(n, 1))
+    return [slice(start, start + step) for start in range(0, n, step)]
 
 
 def _popcount(words: np.ndarray) -> np.ndarray:
@@ -312,42 +332,49 @@ def build_distance_matrix(
     key_counts = presence.sum(axis=1)
     # one value: every edit distance is 0
     edited = [(values, column) for values, column in zip(table.values, table.codes.T) if len(values) > 1]
+    for values, column in edited:
+        # a rule without the key reads its table's zero last row and column
+        # as index len(values), not -1: take then skips its pass over
+        # negative indexes, about half the gathers' time at n = 5000
+        column[column < 0] = len(values)
     tables = list(zip(_edit_tables([values for values, _ in edited]), [column for _, column in edited]))
     w1, w2 = float(params.w1), float(params.w2)  # an int weight would keep edits int32
     matrix = np.empty((n, n), dtype=np.float64)
-    step = max(1, _BLOCK_CELLS // max(n, 1))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        keys_apart = key_counts[rows, None] + key_counts - 2 * (presence[rows] @ presence.T)
-        edits = np.zeros(keys_apart.shape, dtype=np.int32)
+    for rows in _row_blocks(n):
+        # the block is D's own rows: KD, then w1 * KD + w2 * lev, in place
+        block = matrix[rows]
+        np.matmul(presence[rows], presence.T, out=block)
+        block *= -2
+        block += key_counts[rows, None]
+        block += key_counts
+        edits = np.zeros(block.shape, dtype=np.int32)
         for table, column in tables:
             edits += table[column[rows]].take(column, axis=1)
         with np.errstate(over="ignore"):
-            matrix[rows] = w1 * keys_apart + w2 * edits
-        if not np.isfinite(matrix[rows]).all():
+            block *= w1
+            block += w2 * edits
+        if not np.isfinite(block).all():
             raise RuleforgeError(f"distances overflow with --w1 {w1!r} and --w2 {w2!r}")
     return DistanceMatrix(entries=matrix)
 
 
-def _merge_sequence(
-    matrix: DistanceMatrix, linkage: str
-) -> list[tuple[int, int, float]]:
-    """Full greedy merge sequence via Lance-Williams updates, in one copy of D.
+def _merge_sequence(distances: np.ndarray, linkage: str) -> list[tuple[int, int, float]]:
+    """Full greedy merge sequence via Lance-Williams updates, in distances itself.
 
-    Cluster slots are indexed by their smallest member, so the merge of slots
-    i < j lives on in slot i. The copy holds +inf on the diagonal and in the
-    rows and columns of merged-away slots, and stays exactly symmetric. Each
-    row caches its minimum and the first column that attains it (Muellner's
+    distances starts as D and is the merge's working array. Cluster slots are
+    indexed by their smallest member, so the merge of slots i < j lives on in
+    slot i. The array holds +inf on the diagonal and in the rows and columns
+    of merged-away slots, and stays exactly symmetric. Each row caches its
+    minimum and the first column that attains it (Muellner's
     nearest-neighbour chain idea, arXiv:1109.2378, without a priority
     queue). The first row with the smallest cached minimum and its cached
-    column are then the row-major first minimum of the whole copy: the
+    column are then the row-major first minimum of the whole array: the
     smallest (i, j), i < j, of the closest pairs. After a merge, row i is
     rescanned, and so is every row whose cached column was i or j and whose
     distance to the merged slot rose above its cached minimum; every other
     row only compares its new distance to i.
     """
-    n = matrix.n
-    distances = matrix.entries.copy()
+    n = distances.shape[0]
     np.fill_diagonal(distances, np.inf)
     sizes = np.ones(n, dtype=np.int64)
     active = np.ones(n, dtype=bool)
@@ -405,6 +432,7 @@ def agglomerate(
     *,
     cut_height: float | None = None,
     cut_count: int | None = None,
+    overwrite: bool = False,
 ) -> ClusterAssignment:
     """Bottom-up clustering of a distance matrix.
 
@@ -412,9 +440,18 @@ def agglomerate(
     to a cluster count. With neither given, the count defaults to
     ceil(sqrt(n)). Labels are 0..k-1 ordered by each cluster's smallest
     member, so the result is deterministic.
+
+    The merge works in one n x n array. By default that is a copy of
+    matrix.entries, and the caller's matrix is left unchanged. With
+    overwrite=True (after scipy's overwrite_a) the merge runs in
+    matrix.entries itself and saves the copy: the caller gives D up, and
+    afterwards its entries are scratch that no longer hold distances.
+    Read-only entries, such as a memory-mapped np.load, raise ValueError.
     """
     if linkage not in LINKAGES:
         raise ValueError(f"linkage must be one of {LINKAGES}, got {linkage!r}")
+    if overwrite and not matrix.entries.flags.writeable:
+        raise ValueError("overwrite=True needs writeable distance entries; pass a copy")
     n = matrix.n
     if n == 0:
         raise InvalidCut("cannot cluster an empty matrix")
@@ -430,7 +467,7 @@ def agglomerate(
         # an average's weighted sum is at most n * max(D): keep it finite
         raise RuleforgeError("distances too large to average: n * max(D) overflows float64")
 
-    merges = _merge_sequence(matrix, linkage)
+    merges = _merge_sequence(matrix.entries if overwrite else matrix.entries.copy(), linkage)
     if cut_count is not None:
         applied = merges[: n - cut_count]
     else:

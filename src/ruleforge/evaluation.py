@@ -193,8 +193,10 @@ def loco_evaluate(
 
     if with_clusters:
         matrix = build_distance_matrix(rules, distance_params)
-        if not cluster_train_only:
-            labels = agglomerate(matrix, linkage, cut_height=cut_height, cut_count=cut_count).labels
+        if not cluster_train_only:  # nothing reads D again: merge in its own storage
+            labels = agglomerate(
+                matrix, linkage, cut_height=cut_height, cut_count=cut_count, overwrite=True
+            ).labels
 
     table = factorize(rules)
     accuracies: dict[tuple[str, str], dict[int, float]] = {}
@@ -218,9 +220,14 @@ def loco_evaluate(
 
         if with_clusters:
             if cluster_train_only:
-                train_matrix = DistanceMatrix(matrix.entries[np.ix_(train_ids, train_ids)])
+                # the fold's own copy of its rows of D, merged in place and
+                # freed before the next fold's; D stays intact for _nearest_cluster
                 train_labels = agglomerate(
-                    train_matrix, linkage, cut_height=cut_height, cut_count=cut_count
+                    DistanceMatrix(matrix.entries[np.ix_(train_ids, train_ids)]),
+                    linkage,
+                    cut_height=cut_height,
+                    cut_count=cut_count,
+                    overwrite=True,
                 ).labels
                 test_labels = np.array(
                     [_nearest_cluster(matrix.entries[i, train_ids], train_labels) for i in test_ids]

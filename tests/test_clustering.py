@@ -1,6 +1,7 @@
 """Distance metric and agglomerative clustering against brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,41 @@ class TestDistanceMatrix:
         with pytest.raises(ValueError, match="finite"):
             DistanceMatrix(np.array([[0.0, bad, 1.0], [bad, 0.0, bad], [1.0, bad, 0.0]]))
 
+    def test_checks_keep_their_order_across_row_blocks(self, monkeypatch):
+        # blocks of 2 rows; each rule's fault sits in an earlier block than the
+        # faults of the rules checked before it, and those still win
+        monkeypatch.setattr(clustering, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(clustering, "_BLOCK_CELLS", 0)
+        entries = np.ones((8, 8))
+        np.fill_diagonal(entries, 0.0)
+        entries[0, 1] = entries[1, 0] = -1.0
+        entries[2, 2] = 1.0
+        entries[4, 5] = 3.0
+        entries[6, 7] = entries[7, 6] = math.nan
+        for rule, cells, mended in [
+            ("finite", ([6, 7], [7, 6]), 1.0),
+            ("symmetric", (4, 5), 1.0),
+            ("diagonal", (2, 2), 0.0),
+            ("non-negative", ([0, 1], [1, 0]), 1.0),
+        ]:
+            with pytest.raises(ValueError, match=rule):
+                DistanceMatrix(entries.copy())
+            entries[cells] = mended
+        assert DistanceMatrix(entries).n == 8
+
+    def test_every_asymmetric_cell_rejected_in_row_blocks(self, monkeypatch):
+        # a block compares only its cells from its first row's column on
+        monkeypatch.setattr(clustering, "_BLOCK_ROWS", 3)
+        monkeypatch.setattr(clustering, "_BLOCK_CELLS", 0)
+        entries = random_matrix(np.random.default_rng(8), 8)
+        for i in range(8):
+            for j in range(8):
+                if i != j:
+                    skewed = entries.copy()
+                    skewed[i, j] += 0.5
+                    with pytest.raises(ValueError, match="symmetric"):
+                        DistanceMatrix(skewed)
+
     def test_build_matches_pairwise_calls(self, sample_rules):
         rules = sample_rules[:6]
         params = DistanceParams(w1=1.5, w2=0.75)
@@ -256,10 +292,15 @@ class TestBuildExact:
                 assert matrix.entries[i, j] == rule_distance(rule_i, rule_j, params)
 
     def test_row_blocks_give_the_same_bytes(self, sample_rules, monkeypatch):
-        whole = build_distance_matrix(sample_rules).entries
-        # 12 rules in blocks of 5, 5 and 2 rows
-        monkeypatch.setattr(clustering, "_BLOCK_CELLS", 5 * len(sample_rules))
-        assert build_distance_matrix(sample_rules).entries.tobytes() == whole.tobytes()
+        params = DistanceParams(w1=0.3, w2=0.7)
+        whole = build_distance_matrix(sample_rules, params).entries
+        monkeypatch.setattr(clustering, "_BLOCK_ROWS", 1)
+        # 12 rules in blocks of 1 row; of 5, 5 and 2 rows; of all 12 rows
+        for rows in (1, 5, 12):
+            monkeypatch.setattr(clustering, "_BLOCK_CELLS", rows * len(sample_rules))
+            assert clustering._row_blocks(len(sample_rules))[0] == slice(0, rows)
+            blocked = build_distance_matrix(sample_rules, params)
+            assert blocked.entries.tobytes() == whole.tobytes()
 
     def test_non_finite_weights_rejected(self):
         for w1, w2 in [(math.nan, 1.0), (1.0, math.inf), (math.inf, 0.0)]:
@@ -463,5 +504,60 @@ class TestMergeSequenceReference:
     def test_leaves_the_matrix_unchanged(self):
         matrix = DistanceMatrix(tie_heavy_matrix(np.random.default_rng(4), 12))
         before = matrix.entries.copy()
-        agglomerate(matrix, "average")
-        assert matrix.entries.tobytes() == before.tobytes()
+        for linkage in clustering.LINKAGES:
+            agglomerate(matrix, linkage)
+            assert matrix.entries.tobytes() == before.tobytes()
+
+
+class TestOverwrite:
+    """overwrite=True merges in matrix.entries itself, with the same result."""
+
+    @pytest.mark.parametrize("linkage", clustering.LINKAGES)
+    @pytest.mark.parametrize("kind", ["tie-heavy", "non-integer"])
+    def test_same_merges_and_labels_as_the_copy(self, sample_rules, linkage, kind):
+        if kind == "tie-heavy":
+            entries = tie_heavy_matrix(np.random.default_rng(60), 60)
+        else:
+            params = DistanceParams(w1=0.3, w2=0.7)
+            entries = build_distance_matrix(sample_rules, params).entries
+        n = len(entries)
+        want = oracles.merge_sequence(DistanceMatrix(entries), linkage)
+        for count in range(1, n + 1):
+            copied = agglomerate(DistanceMatrix(entries), linkage, cut_count=count)
+            owned = agglomerate(
+                DistanceMatrix(entries.copy()), linkage, cut_count=count, overwrite=True
+            )
+            assert owned.merge_history == copied.merge_history == tuple(want)
+            assert owned.labels.tolist() == copied.labels.tolist()
+            assert dict(enumerate(owned.labels.tolist())) == oracles.labels_at_count(
+                n, want, count
+            )
+
+    def test_read_only_entries_rejected(self, tmp_path):
+        path = tmp_path / "d.npy"
+        np.save(path, tie_heavy_matrix(np.random.default_rng(5), 10))
+        matrix = DistanceMatrix(np.load(path, mmap_mode="r"))
+        assert not matrix.entries.flags.writeable
+        with pytest.raises(ValueError, match="writeable"):
+            agglomerate(matrix, "average", overwrite=True)
+        # the default call still takes read-only entries: it merges in a copy
+        want = agglomerate(DistanceMatrix(np.load(path)), "average", overwrite=True)
+        got = agglomerate(matrix, "average")
+        assert got.merge_history == want.merge_history
+        assert got.labels.tolist() == want.labels.tolist()
+
+    def test_only_the_default_allocates_a_copy(self):
+        # numpy reports its buffers to tracemalloc: the copy of D shows in the
+        # default call's peak, and the in-place call stays far below it
+        entries = tie_heavy_matrix(np.random.default_rng(300), 300)
+        peaks = {}
+        for overwrite in (False, True):
+            matrix = DistanceMatrix(entries.copy())
+            tracemalloc.start()
+            try:
+                agglomerate(matrix, "average", overwrite=overwrite)
+                peaks[overwrite] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[False] >= entries.nbytes
+        assert peaks[True] < entries.nbytes / 2
