@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ._numpy import np
 
@@ -61,16 +61,19 @@ class CountTable:
     """The training rows as the model keeps them, and the counts taken from them.
 
     rows holds the sorted distinct rows of the (n x A) code matrix, columns in
-    vocab.attributes order, and multiplicities how often each occurs; they sum
-    to num_samples. rows is stored column-major, so each attribute's column
-    is a contiguous view. marginal() and pair() count from those columns on
-    every call; nothing else is kept.
+    vocab.attributes order, and multiplicities how often each occurs;
+    num_samples is their sum. rows is stored column-major, so each
+    attribute's column is a contiguous view. marginal() and pair() count from
+    those columns on every call; nothing else is kept.
     """
 
     rows: np.ndarray
     multiplicities: np.ndarray
-    num_samples: int
     vocab: AttributeVocabulary
+    num_samples: int = field(init=False)
+
+    def __post_init__(self):
+        self.num_samples = int(self.multiplicities.sum())
 
     def column(self, attribute: str) -> np.ndarray:
         """The stored rows' codes for attribute, a view of rows."""
@@ -97,22 +100,21 @@ class CountTable:
     ) -> tuple[np.ndarray, np.ndarray]:
         """(table, slots): the target's value counts among rows with each evidence code.
 
-        table is float64 with one row of |V_target| counts per slot, and
-        table[slots[i]] counts the training rows whose evidence value is
-        codes[i]. The choice is made from the input's size: with fewer codes
-        than evidence values, each code gets a slot and every other evidence
-        value one spare slot, dropped after counting; otherwise each evidence
-        value is its own slot. Either way it is one weighted bincount over all
-        stored rows, and the table has min(len(codes), |V_evidence|) rows.
+        table is float64 with one row of |V_target| counts per distinct code
+        in codes, in ascending code order, and table[slots[i]] counts the
+        training rows whose evidence value is codes[i]. The evidence values
+        codes lacks share one spare slot, dropped after counting, so the table
+        is never taller than len(codes) or |V_evidence|. It is one weighted
+        bincount over all stored rows.
         """
         evidence_col, target_col = self.column(evidence), self.column(target)
         size_e, size_t = self.vocab.size(evidence), self.vocab.size(target)
-        height = min(len(codes), size_e)
-        if len(codes) < size_e:
-            slot = np.full(size_e, height, dtype=np.intp)
-            slot[codes] = np.arange(height)
-        else:
-            slot = np.arange(size_e)
+        present = np.zeros(size_e, dtype=bool)
+        present[codes] = True
+        distinct = np.flatnonzero(present)
+        height = len(distinct)
+        slot = np.full(size_e, height, dtype=np.intp)
+        slot[distinct] = np.arange(height)
         cells = slot[evidence_col] * size_t + target_col
         table = np.bincount(cells, self.multiplicities, (height + 1) * size_t)[: height * size_t]
         return table.reshape(height, size_t), slot[codes]
@@ -163,13 +165,27 @@ class PosteriorDistribution:
 
 @dataclass
 class SmoothedModel:
-    """Fitted counts plus the smoothing configuration; treat as immutable."""
+    """Fitted counts plus the smoothing configuration; treat as immutable.
+
+    The settings are checked here, for fit and load alike: alpha must be
+    finite and > 0 and is kept as a float, smoothing one of SMOOTHING_MODES,
+    and the two flags are kept as bools, so to_json writes what load reads.
+    """
 
     counts: CountTable
     alpha: float
     smoothing: str = "corpus"
     skip_unk_evidence: bool = False
     with_prior: bool = False
+
+    def __post_init__(self):
+        self.alpha = float(self.alpha)
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        if self.smoothing not in SMOOTHING_MODES:
+            raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {self.smoothing!r}")
+        self.skip_unk_evidence = bool(self.skip_unk_evidence)
+        self.with_prior = bool(self.with_prior)
 
     @property
     def vocab(self) -> AttributeVocabulary:
@@ -221,19 +237,10 @@ class SmoothedModel:
         version = payload["version"]
         if type(version) is not int or version != MODEL_VERSION:
             raise RuleforgeError(f"{path}: unsupported model version {version!r}")
-        alpha = float(_json_scalar(payload, "alpha", int, float))
-        if not (math.isfinite(alpha) and alpha > 0):
-            raise ValueError(f"alpha must be finite and > 0, got {alpha}")
-        smoothing = payload["smoothing"]
-        if smoothing not in SMOOTHING_MODES:
-            raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
         num_samples = _json_scalar(payload, "num_samples", int)
         if not 1 <= num_samples < _EXACT_COUNTS:
             raise ValueError(f"num_samples must be >= 1 and < 2**53, got {num_samples}")
-        vocab = AttributeVocabulary(
-            attributes=tuple(sorted(payload["vocabulary"])),
-            values={a: tuple(v) for a, v in payload["vocabulary"].items()},
-        )
+        vocab = AttributeVocabulary({a: tuple(v) for a, v in payload["vocabulary"].items()})
         if vocab.sha256() != payload["vocab_sha256"]:
             raise RuleforgeError(f"{path}: vocabulary hash mismatch")
         for a, values in vocab.values.items():
@@ -257,8 +264,8 @@ class SmoothedModel:
             raise ValueError("multiplicities must be >= 1 and sum to num_samples")
         return cls(
             counts=_distinct_rows(codes, weights, vocab),
-            alpha=alpha,
-            smoothing=smoothing,
+            alpha=_json_scalar(payload, "alpha", int, float),
+            smoothing=payload["smoothing"],
             skip_unk_evidence=_json_scalar(payload, "skip_unk_evidence", bool),
             with_prior=_json_scalar(payload, "with_prior", bool),
         )
@@ -317,7 +324,6 @@ def _distinct_rows(rows: np.ndarray, weights: np.ndarray, vocab: AttributeVocabu
     return CountTable(
         rows=np.array(rows, order="F"),  # a copy even of a caller's canonical rows
         multiplicities=weights,
-        num_samples=int(weights.sum()),
         vocab=vocab,
     )
 
@@ -334,10 +340,6 @@ def fit(
     """The model of encode_corpus's (n x A) codes: their distinct rows and multiplicities."""
     if len(codes) == 0:
         raise EmptyDataset("cannot fit on an empty dataset")
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if smoothing not in SMOOTHING_MODES:
-        raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {smoothing!r}")
     return SmoothedModel(
         counts=_distinct_rows(codes, np.ones(len(codes), dtype=np.int64), vocab),
         alpha=alpha,
@@ -384,9 +386,7 @@ def posterior_log_scores(model: SmoothedModel, codes: np.ndarray, target: str) -
     scores do not depend on which rows share the call.
     """
     vocab = model.vocab
-    values = vocab.values.get(target)
-    if values is None:
-        raise UnknownAttribute(f"attribute {target!r} not in vocabulary")
+    values = vocab.values_of(target)
     log_scores = np.zeros((len(codes), len(values)), dtype=np.float64)
     mass = _denominator_mass(model, target)
     for k, attr in enumerate(vocab.attributes):
@@ -449,9 +449,7 @@ def predict_mle_rows(model: SmoothedModel, codes: np.ndarray, target: str) -> np
     Ties among the most likely values go to the smallest value string: the
     columns are read in string_order, and argmax takes the first maximum.
     """
-    values = model.vocab.values.get(target)
-    if values is None:
-        raise UnknownAttribute(f"attribute {target!r} not in vocabulary")
+    values = model.vocab.values_of(target)
     by_string = string_order(values)
     step = max(1, _BLOCK_CELLS // len(values))
     picks = np.empty(len(codes), dtype=np.intp)

@@ -472,11 +472,12 @@ def _strategy(args) -> Strategy:
 
 def _distance_params(args) -> DistanceParams:
     """The distance weights, once the cluster flags that exclude each other are checked."""
-    if args.w1 == 0 and args.w2 == 0:
-        raise UsageError("--w1 and --w2 cannot both be 0")
     if args.cut_count is not None and args.cut_height is not None:
         raise UsageError("--cut-count and --cut-height cannot both be given")
-    return DistanceParams(w1=args.w1, w2=args.w2)
+    try:
+        return DistanceParams(w1=args.w1, w2=args.w2)
+    except ValueError as exc:
+        raise UsageError(f"--w1 and --w2: {exc}") from None
 
 
 def _cmd_parse(args) -> int:

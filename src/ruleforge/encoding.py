@@ -22,7 +22,7 @@ lacks -1 instead, so in evaluation's held-out truth it matches no prediction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from ._numpy import np
@@ -63,26 +63,31 @@ class ExclusionList:
 class AttributeVocabulary:
     """Closed world of attributes and their values.
 
-    Attributes are sorted lexicographically. Each value tuple holds UNK
-    exactly once, at index 0, followed by the observed values sorted
-    lexicographically.
+    values maps each attribute to its value tuple: UNK exactly once, at index
+    0, followed by the observed values sorted lexicographically. attributes
+    is derived from it: the attribute names sorted lexicographically, the
+    column order of every code matrix.
     """
 
-    attributes: tuple[str, ...]
     values: dict[str, tuple[str, ...]]
+    attributes: tuple[str, ...] = field(init=False)
+
+    def __post_init__(self):
+        self.attributes = tuple(sorted(self.values))
 
     def size(self, attribute: str) -> int:
-        return len(self._values_for(attribute))
+        return len(self.values_of(attribute))
 
     def index_of(self, attribute: str, value: str | None) -> int:
         """Index of value for attribute; unseen values map to UNK (index 0)."""
-        values = self._values_for(attribute)
+        values = self.values_of(attribute)
         return values.index(value) if value in values else 0
 
     def value_at(self, attribute: str, index: int) -> str:
-        return self._values_for(attribute)[index]
+        return self.values_of(attribute)[index]
 
-    def _values_for(self, attribute: str) -> tuple[str, ...]:
+    def values_of(self, attribute: str) -> tuple[str, ...]:
+        """The value tuple of attribute; one not in the vocabulary raises UnknownAttribute."""
         try:
             return self.values[attribute]
         except KeyError:
@@ -175,7 +180,7 @@ def vocabulary_of_codes(
         if not observed or (exclude.drop_constant and constant):
             continue
         values[key] = (UNK, *sorted(v for v in observed if v != UNK))
-    return AttributeVocabulary(attributes=tuple(values), values=values)
+    return AttributeVocabulary(values)
 
 
 def build_vocabulary(
@@ -249,11 +254,8 @@ def attach_cluster_feature(
     distinct, inverse = np.unique(labels, return_inverse=True)
     names = [str(label) for label in distinct.tolist()]
     if augmented_vocab is None:
-        values = dict(vocab.values)
-        values[CLUSTER_ATTRIBUTE] = (UNK, *sorted(names))
         augmented_vocab = AttributeVocabulary(
-            attributes=tuple(sorted(vocab.attributes + (CLUSTER_ATTRIBUTE,))),
-            values=values,
+            {**vocab.values, CLUSTER_ATTRIBUTE: (UNK, *sorted(names))}
         )
     indices = [augmented_vocab.index_of(CLUSTER_ATTRIBUTE, name) for name in names]
     column = np.array(indices, dtype=np.int64)[inverse]

@@ -33,7 +33,7 @@ import io
 import operator
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TextIO
 
 from .errors import RuleforgeError
@@ -108,6 +108,10 @@ class RuleHeader:
     def attribute_values(self) -> dict[str, str]:
         """Header fields keyed by their synthetic attribute names."""
         return dict(zip(HEADER_ATTRIBUTES, _HEADER_VALUES(self)))
+
+
+# The seven header tokens, in rule text order.
+_HEADER_TOKENS = operator.attrgetter(*(f.name for f in fields(RuleHeader)))
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,17 +302,7 @@ def serialize_rule(rule: ParsedRule, *, require_sid: bool = False) -> str:
     """
     if require_sid and rule.sid is None:
         raise MissingSid("rule has no sid")
-    head = " ".join(
-        (
-            rule.header.action,
-            rule.header.protocol,
-            rule.header.src_addr,
-            rule.header.src_port,
-            rule.header.direction,
-            rule.header.dst_addr,
-            rule.header.dst_port,
-        )
-    )
+    head = " ".join(_HEADER_TOKENS(rule.header))
     segments = [
         f"{opt.key}:{opt.value}" if opt.value else opt.key
         for opt in rule.options

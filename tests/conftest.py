@@ -164,7 +164,7 @@ def vocabulary_from_dicts(corpus: list[dict]) -> AttributeVocabulary:
         seen = {row.get(attr, UNK) for row in corpus}
         seen.discard(UNK)
         values[attr] = (UNK, *sorted(seen))
-    return AttributeVocabulary(attributes=tuple(attrs), values=values)
+    return AttributeVocabulary(values)
 
 
 def encode_dicts(corpus: list[dict], vocab: AttributeVocabulary) -> np.ndarray:

@@ -418,7 +418,7 @@ def build_vocabulary(
         attr: (UNK,) + tuple(sorted(v for v in observed[attr] if v != UNK))
         for attr in names
     }
-    return AttributeVocabulary(attributes=tuple(names), values=values)
+    return AttributeVocabulary(values)
 
 
 def encode_corpus(rules: Sequence[ParsedRule], vocab: AttributeVocabulary) -> np.ndarray:
@@ -485,7 +485,7 @@ def loco_evaluate_strings(
         if with_clusters:
             values = dict(vocab.values)
             values[CLUSTER_ATTRIBUTE] = (UNK, *sorted({labels[i] for i in train_ids}))
-            cluster_vocab = AttributeVocabulary(tuple(sorted(values)), values)
+            cluster_vocab = AttributeVocabulary(values)
             models.append((CLASSIFIER_BAYES_CLUSTER, cluster_vocab, cluster_rows))
         for classifier, model_vocab, model_rows in models:
             codes = encode_rows(model_rows, model_vocab)

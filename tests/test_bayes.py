@@ -265,7 +265,11 @@ class TestBatchedPosterior:
 
     @pytest.mark.parametrize("alpha, kwargs", MODEL_CONFIGS)
     def test_blocks_on_both_sides_of_the_size_choice(self, alpha, kwargs):
-        """One row, fewer rows than any evidence vocabulary, more than every one."""
+        """One row, fewer rows than any evidence vocabulary, more than every one.
+
+        Whatever the block's size, cooccurrences counts one table row per
+        distinct evidence code of the block.
+        """
         rng = np.random.default_rng(21)
         corpus = [
             {f"k{j}": f"v{rng.integers(4 + 3 * j)}" for j in range(4) if rng.random() < 0.9}
@@ -278,6 +282,10 @@ class TestBatchedPosterior:
             block = random_codes(rng, vocab, m)
             block[m // 2] = block[-1]  # two rows share every code when m > 1
             for target in vocab.attributes:
+                for evidence, column in zip(vocab.attributes, block.T):
+                    table, slots = model.counts.cooccurrences(evidence, target, column)
+                    assert table.shape == (len(set(column.tolist())), vocab.size(target))
+                    assert np.array_equal(table[slots], model.counts.pair(evidence, target)[column])
                 scores = posterior_log_scores(model, block, target)
                 for record, row in zip(block, scores):
                     want, _ = oracles.posterior_loop(
@@ -357,7 +365,7 @@ class TestFitValidation:
     def test_alpha_must_be_positive(self, ten_rule_corpus):
         vocab = vocabulary_from_dicts(ten_rule_corpus)
         encoded = encode_dicts(ten_rule_corpus, vocab)
-        for alpha in (0.0, -1.0):
+        for alpha in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ValueError):
                 fit(encoded, vocab, alpha)
 
@@ -384,6 +392,16 @@ class TestPersistence:
             after = predict_distribution(loaded, observation, target)
             assert np.allclose(before.normalized, after.normalized)
         assert loaded.to_json() == model.to_json()
+
+    @pytest.mark.parametrize("kwargs", [{"alpha": 1}, {"skip_unk_evidence": 1}])
+    def test_settings_save_as_load_reads_them(self, ten_rule_corpus, kwargs, tmp_path):
+        """An int alpha saves as a float, a truthy flag as a JSON boolean."""
+        model, _ = fit_dicts(ten_rule_corpus, **kwargs)
+        path = tmp_path / "model.json"
+        model.save(str(path))
+        first = path.read_bytes()
+        SmoothedModel.load(str(path)).save(str(path))
+        assert path.read_bytes() == first
 
     def test_load_rejects_tampered_vocabulary(self, ten_rule_corpus, tmp_path):
         model, _ = fit_dicts(ten_rule_corpus)

@@ -403,9 +403,7 @@ class TestGenerate:
                 else:
                     values[1], values[2] = values[2], values[1]
                 vocabulary = {k: tuple(v) for k, v in payload["vocabulary"].items()}
-                payload["vocab_sha256"] = AttributeVocabulary(
-                    attributes=tuple(sorted(vocabulary)), values=vocabulary
-                ).sha256()
+                payload["vocab_sha256"] = AttributeVocabulary(vocabulary).sha256()
             text = json.dumps(payload)
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

@@ -191,10 +191,7 @@ class TestBuildVocabulary:
 class TestVocabularyLookups:
     @pytest.fixture
     def vocab(self):
-        return AttributeVocabulary(
-            attributes=("flow", "proto"),
-            values={"flow": (UNK, "a", "b"), "proto": (UNK, "tcp")},
-        )
+        return AttributeVocabulary({"flow": (UNK, "a", "b"), "proto": (UNK, "tcp")})
 
     def test_index_of_and_value_at_are_inverse(self, vocab):
         for attr in vocab.attributes:
@@ -222,14 +219,18 @@ class TestVocabularyLookups:
     def test_json_round_trip_and_hash(self, vocab):
         text = vocab.to_json()
         attrs = json.loads(text)["attributes"]
-        again = AttributeVocabulary(
-            attributes=tuple(sorted(attrs)),
-            values={a: tuple(vals) for a, vals in attrs.items()},
-        )
+        again = AttributeVocabulary({a: tuple(vals) for a, vals in attrs.items()})
         assert again.attributes == vocab.attributes
         assert again.values == vocab.values
         assert again.sha256() == vocab.sha256()
         assert text == again.to_json()
+
+    def test_attributes_are_sorted_from_any_dict_order(self, vocab):
+        shuffled = AttributeVocabulary(dict(reversed(vocab.values.items())))
+        assert list(shuffled.values) == ["proto", "flow"]
+        assert shuffled.attributes == ("flow", "proto")
+        assert shuffled.sha256() == vocab.sha256()
+        assert shuffled.to_json() == vocab.to_json()
 
 
 # The modules AttributeVocabulary.sha256 tries, in order.
@@ -243,7 +244,7 @@ for name in filter(None, sys.argv[1].split(",")):
     sys.modules[name] = None
 from ruleforge.encoding import AttributeVocabulary
 values = {{a: tuple(v) for a, v in json.loads(sys.argv[2]).items()}}
-vocab = AttributeVocabulary(attributes=tuple(sorted(values)), values=values)
+vocab = AttributeVocabulary(values)
 digest = vocab.sha256()
 loaded = [name for name in {DIGEST_MODULES!r} if sys.modules.get(name)]
 print(json.dumps({{"digest": digest, "loaded": loaded}}))
