@@ -111,9 +111,10 @@ class CountTable:
         size_e, size_t = self.vocab.size(evidence), self.vocab.size(target)
         present = np.zeros(size_e, dtype=bool)
         present[codes] = True
-        distinct = np.flatnonzero(present)
+        distinct = present.nonzero()[0]
         height = len(distinct)
-        slot = np.full(size_e, height, dtype=np.intp)
+        slot = np.empty(size_e, dtype=np.intp)
+        slot.fill(height)  # np.full is a Python wrapper around these two calls
         slot[distinct] = np.arange(height)
         cells = slot[evidence_col] * size_t + target_col
         table = np.bincount(cells, self.multiplicities, (height + 1) * size_t)[: height * size_t]
@@ -179,9 +180,9 @@ class SmoothedModel:
     with_prior: bool = False
 
     def __post_init__(self):
-        self.alpha = float(self.alpha)
-        if not (math.isfinite(self.alpha) and self.alpha > 0):
+        if not (math.isfinite(self.alpha) and self.alpha > 0):  # before float(): a str raises
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
+        self.alpha = float(self.alpha)
         if self.smoothing not in SMOOTHING_MODES:
             raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {self.smoothing!r}")
         self.skip_unk_evidence = bool(self.skip_unk_evidence)
