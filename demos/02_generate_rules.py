@@ -57,7 +57,7 @@ def main() -> None:
         print(f"  {attribute}: {ranked}")
         print(f"    abduced alternatives: {candidates[attribute]}")
 
-    graph = build_candidate_graph(seed, candidates, vocab)
+    graph = build_candidate_graph(seed, candidates)
     print(f"\ncandidate graph spans {graph.total_combinations()} combinations")
 
     result = enumerate_rules(graph, seed)

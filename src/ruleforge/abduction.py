@@ -18,6 +18,7 @@ would yield, from one set of posteriors.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from typing import Iterator, Mapping, Sequence
 
@@ -28,7 +29,6 @@ from .bayes import (
     SmoothedModel,
     predict_above_threshold,
     predict_distribution,
-    predict_mle,
     predict_topk,
 )
 from .encoding import UNK, AttributeVocabulary, encode_rule
@@ -52,7 +52,7 @@ class CombinationOverflow(RuleforgeError):
 
 @dataclass(frozen=True)
 class Strategy:
-    """Candidate selection strategy: mle, topk(k), or threshold(t)."""
+    """Candidate selection strategy: topk(k) or threshold(t); mle() is topk(1)."""
 
     kind: str
     k: int = 0
@@ -60,7 +60,8 @@ class Strategy:
 
     @classmethod
     def mle(cls) -> "Strategy":
-        return cls(kind="mle")
+        """predict_mle as a selection: the most likely value, which top-1 selects."""
+        return cls.topk(1)
 
     @classmethod
     def topk(cls, k: int) -> "Strategy":
@@ -75,8 +76,6 @@ class Strategy:
         return cls(kind="threshold", t=t)
 
     def select(self, distribution: PosteriorDistribution) -> list[str]:
-        if self.kind == "mle":
-            return [predict_mle(distribution)]
         if self.kind == "topk":
             return predict_topk(distribution, self.k)
         if self.kind == "threshold":
@@ -86,36 +85,36 @@ class Strategy:
 
 @dataclass
 class SeedObservation:
-    """A seed rule paired with its code row under the model vocabulary."""
+    """A seed rule, the vocabulary it is encoded under (the model's), and its code row."""
 
     rule: ParsedRule
+    vocab: AttributeVocabulary
     encoded: np.ndarray
-    seed_sid: int
 
     @classmethod
     def from_rule(cls, rule: ParsedRule, vocab: AttributeVocabulary) -> "SeedObservation":
-        return cls(
-            rule=rule,
-            encoded=encode_rule(rule, vocab),
-            seed_sid=rule.sid if rule.sid is not None else 0,
-        )
+        return cls(rule, vocab, encode_rule(rule, vocab))
 
-    def value_of(self, vocab: AttributeVocabulary, attribute: str) -> str:
-        return vocab.value_at(attribute, self.encoded[vocab.attributes.index(attribute)])
+    @property
+    def seed_sid(self) -> int:
+        """The seed rule's sid, or 0 when it has none."""
+        return self.rule.sid if self.rule.sid is not None else 0
+
+    def value_of(self, attribute: str) -> str:
+        return self.vocab.value_at(attribute, self.encoded[self.vocab.column(attribute)])
 
 
 @dataclass
 class CandidateGraph:
-    """Per-attribute value layers; the seed's value leads each layer, and none repeats a value."""
+    """Per-attribute value layers; the seed's value leads each layer, and none repeats a value.
 
-    attribute_order: tuple[str, ...]
+    The layers are in the vocabulary's attribute order, the order enumeration follows.
+    """
+
     layers: dict[str, tuple[str, ...]]
 
     def total_combinations(self) -> int:
-        total = 1
-        for attr in self.attribute_order:
-            total *= len(self.layers[attr])
-        return total
+        return math.prod(len(layer) for layer in self.layers.values())
 
 
 @dataclass
@@ -173,7 +172,7 @@ def abduce_antecedents(
     absent from the seed (UNK) yield no candidates unless allow_insertion.
     """
     posteriors = seed_posteriors(model, seed, allow_insertion=allow_insertion)
-    return select_candidates(model.vocab, seed, strategy, posteriors)
+    return select_candidates(seed, strategy, posteriors)
 
 
 def seed_posteriors(
@@ -183,16 +182,14 @@ def seed_posteriors(
 
     Those are the attributes the seed carries, or every one with allow_insertion.
     """
-    vocab = model.vocab
     return {
         attr: predict_distribution(model, seed.encoded, attr)
-        for attr in vocab.attributes
-        if allow_insertion or seed.value_of(vocab, attr) != UNK
+        for attr in seed.vocab.attributes
+        if allow_insertion or seed.value_of(attr) != UNK
     }
 
 
 def select_candidates(
-    vocab: AttributeVocabulary,
     seed: SeedObservation,
     strategy: Strategy,
     posteriors: Mapping[str, PosteriorDistribution],
@@ -202,17 +199,15 @@ def select_candidates(
     An attribute without a posterior gets no candidates.
     """
     candidates: dict[str, list[str]] = {}
-    for attr in vocab.attributes:
-        seed_value = seed.value_of(vocab, attr)
+    for attr in seed.vocab.attributes:
+        seed_value = seed.value_of(attr)
         selected = strategy.select(posteriors[attr]) if attr in posteriors else []
         candidates[attr] = [value for value in selected if value != seed_value]
     return candidates
 
 
 def build_candidate_graph(
-    seed: SeedObservation,
-    candidates: Mapping[str, Sequence[str]],
-    vocab: AttributeVocabulary,
+    seed: SeedObservation, candidates: Mapping[str, Sequence[str]]
 ) -> CandidateGraph:
     """Arrange candidates into ordered layers, seed value first, without repeats.
 
@@ -220,10 +215,10 @@ def build_candidate_graph(
     omitted from a rule, so that candidate is unrealizable.
     """
     layers: dict[str, tuple[str, ...]] = {}
-    for attr in vocab.attributes:
+    for attr in seed.vocab.attributes:
         kept = (v for v in candidates.get(attr, ()) if v != UNK or attr not in HEADER_FIELDS)
-        layers[attr] = tuple(dict.fromkeys([seed.value_of(vocab, attr), *kept]))
-    return CandidateGraph(attribute_order=vocab.attributes, layers=layers)
+        layers[attr] = tuple(dict.fromkeys([seed.value_of(attr), *kept]))
+    return CandidateGraph(layers)
 
 
 def threshold_sweep(
@@ -248,10 +243,8 @@ def threshold_sweep(
     posteriors = seed_posteriors(model, seed, allow_insertion=allow_insertion)
     points: list[tuple[float, int]] = []
     for threshold in thresholds:
-        candidates = select_candidates(
-            model.vocab, seed, Strategy.threshold(threshold), posteriors
-        )
-        graph = build_candidate_graph(seed, candidates, model.vocab)
+        candidates = select_candidates(seed, Strategy.threshold(threshold), posteriors)
+        graph = build_candidate_graph(seed, candidates)
         points.append((float(threshold), min(graph.total_combinations() - 1, limit)))
     return ThresholdSweepResult(points=tuple(points))
 
@@ -323,10 +316,10 @@ def enumerate_rules(
     total = graph.total_combinations() - 1
     if strict and total > limit:
         raise CombinationOverflow(f"{total} combinations exceed the limit of {limit}")
-    order = graph.attribute_order
-    seed_values = {attr: graph.layers[attr][0] for attr in order}
+    order = tuple(graph.layers)
+    seed_values = {attr: layer[0] for attr, layer in graph.layers.items()}
     # the seed's combination is the product's first: each layer leads with its value
-    combos = itertools.product(*(graph.layers[attr] for attr in order))
+    combos = itertools.product(*graph.layers.values())
     rules = []
     for combo in itertools.islice(combos, 1, limit + 1):
         rule, changes = _apply_combination(seed.rule, dict(zip(order, combo)), seed_values)

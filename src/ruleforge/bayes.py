@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from ._numpy import np
 
-from .encoding import UNK, AttributeVocabulary, UnknownAttribute, string_order
+from .encoding import UNK, AttributeVocabulary, string_order
 from .errors import RuleforgeError
 
 MODEL_FORMAT = "ruleforge-model"
@@ -77,10 +77,7 @@ class CountTable:
 
     def column(self, attribute: str) -> np.ndarray:
         """The stored rows' codes for attribute, a view of rows."""
-        try:
-            return self.rows[:, self.vocab.attributes.index(attribute)]
-        except ValueError:
-            raise UnknownAttribute(f"no counts for attribute {attribute!r}") from None
+        return self.rows[:, self.vocab.column(attribute)]
 
     def marginal(self, attribute: str) -> np.ndarray:
         """How many training rows hold each value of attribute: a new int64 array."""

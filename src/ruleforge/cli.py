@@ -25,6 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .abduction import (
+    DEFAULT_LIMIT,
     DEFAULT_SID_BASE,
     STRATEGY_CHOICES,
     SeedObservation,
@@ -41,12 +42,7 @@ from .abduction import (
 # this module's name
 from .bayes import SMOOTHING_MODES, SmoothedModel, fit, predict_distribution
 from .clustering import DistanceParams, LINKAGES, agglomerate, build_distance_matrix
-from .encoding import (
-    ExclusionList,
-    UnknownAttribute,
-    build_vocabulary,
-    encode_corpus,
-)
+from .encoding import ExclusionList, build_vocabulary, encode_corpus
 from .errors import RuleforgeError
 from .evaluation import SplitSpec, loco_evaluate
 from .parser import (
@@ -328,8 +324,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument(
         "--limit",
         type=_NON_NEGATIVE_INT,
-        default=10_000,
-        help="maximum rules to enumerate, >= 0 (default 10000)",
+        default=DEFAULT_LIMIT,
+        help=f"maximum rules to enumerate, >= 0 (default {DEFAULT_LIMIT})",
     )
     sub.add_argument(
         "--strict-limit",
@@ -386,8 +382,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     sub.add_argument(
         "--limit",
         type=_NON_NEGATIVE_INT,
-        default=10_000,
-        help="maximum rules to enumerate per threshold (default 10000)",
+        default=DEFAULT_LIMIT,
+        help=f"maximum rules to enumerate per threshold (default {DEFAULT_LIMIT})",
     )
     sub.add_argument(
         "--allow-insertion",
@@ -521,12 +517,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_abduce(args) -> int:
     model, seed = _load_seed(args)
-    vocab = model.vocab
-    if args.target and args.target not in vocab.values:
-        raise UnknownAttribute(f"attribute {args.target!r} not in vocabulary")
+    if args.target:
+        model.vocab.values_of(args.target)  # an unknown --target raises UnknownAttribute
     posteriors = seed_posteriors(model, seed, allow_insertion=args.allow_insertion)
-    candidates = select_candidates(vocab, seed, _strategy(args), posteriors)
-    targets = [args.target] if args.target else vocab.attributes
+    candidates = select_candidates(seed, _strategy(args), posteriors)
+    targets = [args.target] if args.target else model.vocab.attributes
     lines = [
         f"{attribute}\t{value}\t{posteriors[attribute].probability(value):.6f}\n"
         for attribute in targets
@@ -541,7 +536,7 @@ def _cmd_generate(args) -> int:
     candidates = abduce_antecedents(
         model, seed, _strategy(args), allow_insertion=args.allow_insertion
     )
-    graph = build_candidate_graph(seed, candidates, model.vocab)
+    graph = build_candidate_graph(seed, candidates)
     result = enumerate_rules(graph, seed, limit=args.limit, strict=args.strict_limit)
     try:
         text = materialize_snort_rules(result.rules, args.category, sid_base=args.sid_base)

@@ -66,14 +66,21 @@ class AttributeVocabulary:
     values maps each attribute to its value tuple: UNK exactly once, at index
     0, followed by the observed values sorted lexicographically. attributes
     is derived from it: the attribute names sorted lexicographically, the
-    column order of every code matrix.
+    column order of every code matrix, which column() looks up.
     """
 
     values: dict[str, tuple[str, ...]]
     attributes: tuple[str, ...] = field(init=False)
+    _columns: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.attributes = tuple(sorted(self.values))
+        self._columns = {attribute: a for a, attribute in enumerate(self.attributes)}
+
+    def column(self, attribute: str) -> int:
+        """attribute's column in every code matrix; raises as values_of does."""
+        self.values_of(attribute)
+        return self._columns[attribute]
 
     def size(self, attribute: str) -> int:
         return len(self.values_of(attribute))
@@ -259,5 +266,5 @@ def attach_cluster_feature(
         )
     indices = [augmented_vocab.index_of(CLUSTER_ATTRIBUTE, name) for name in names]
     column = np.array(indices, dtype=np.int64)[inverse]
-    position = augmented_vocab.attributes.index(CLUSTER_ATTRIBUTE)
+    position = augmented_vocab.column(CLUSTER_ATTRIBUTE)
     return augmented_vocab, np.insert(codes, position, column, axis=1)

@@ -42,7 +42,7 @@ def generate_from(rules, seed_index, strategy, *, allow_insertion=False, **enum_
     candidates = abduce_antecedents(
         model, seed, strategy, allow_insertion=allow_insertion
     )
-    graph = build_candidate_graph(seed, candidates, vocab)
+    graph = build_candidate_graph(seed, candidates)
     return enumerate_rules(graph, seed, **enum_kwargs), graph, seed
 
 
@@ -91,7 +91,7 @@ class TestTwoRuleScenario:
             assert gen.seed_sid == 13162
             assert gen.rule.attribute_values() != seed_dict
             # every graph attribute is accounted for
-            assert set(gen.changes) == set(graph.attribute_order)
+            assert set(gen.changes) == set(graph.layers)
             assert all(
                 state in {"kept", "replaced", "dropped", "inserted"}
                 for state in gen.changes.values()
@@ -201,10 +201,10 @@ class TestCompositeOptions:
         rules = [parse_rule(t) for t in self.TEXTS]
         model, vocab = model_for(rules)
         seed = SeedObservation.from_rule(rules[0], vocab)
-        assert seed.value_of(vocab, "content") == '"A"' + VALUE_JOIN + '"B"'
+        assert seed.value_of("content") == '"A"' + VALUE_JOIN + '"B"'
         candidates = abduce_antecedents(model, seed, Strategy.threshold(0.01))
         assert candidates["content"] == ['"C"' + VALUE_JOIN + '"D"']
-        graph = build_candidate_graph(seed, candidates, vocab)
+        graph = build_candidate_graph(seed, candidates)
         result = enumerate_rules(graph, seed)
         assert len(result) == 1
         generated = result[0]
@@ -318,3 +318,9 @@ class TestMaterialize:
         )
         seed = SeedObservation.from_rule(rule, vocab)
         assert seed.seed_sid == 0
+
+    def test_seed_holds_the_vocabulary_it_was_encoded_with(self, table2_rules):
+        vocab = build_vocabulary(table2_rules, ExclusionList(drop_constant=False))
+        seed = SeedObservation.from_rule(table2_rules[0], vocab)
+        assert seed.vocab is vocab
+        assert seed.seed_sid == table2_rules[0].sid

@@ -197,7 +197,7 @@ def test_criterion_04():
         rules, vocab, model = table2_model()
         seed = SeedObservation.from_rule(rules[0], vocab)
         candidates = abduce_antecedents(model, seed, Strategy.threshold(0.01))
-        graph = build_candidate_graph(seed, candidates, vocab)
+        graph = build_candidate_graph(seed, candidates)
         assert graph.total_combinations() == 8
         result = enumerate_rules(graph, seed)
         assert len(result) == 7
@@ -282,7 +282,7 @@ def test_criterion_05():
             candidates = abduce_antecedents(
                 model, seed, strategy, allow_insertion=index % 3 == 0
             )
-            graph = build_candidate_graph(seed, candidates, vocab)
+            graph = build_candidate_graph(seed, candidates)
             result = enumerate_rules(graph, seed, limit=100)
             text = materialize_snort_rules(list(result), "FUZZ")
             reparsed, errors = parse_ruleset(text)

@@ -120,6 +120,15 @@ class TestConditionalProbability:
         with pytest.raises(UnknownAttribute):
             conditional_probability(model, ("nope", "x"), ("svc", "smb"))
 
+    def test_counts_raise_the_vocabulary_error(self, ten_rule_corpus):
+        model, vocab = fit_dicts(ten_rule_corpus)
+        message = "^attribute 'nope' not in vocabulary$"
+        with pytest.raises(UnknownAttribute, match=message):
+            model.counts.column("nope")
+        for attr in vocab.attributes:
+            with pytest.raises(UnknownAttribute, match=message):
+                model.counts.pair(attr, "nope")
+
 
 class TestPredictDistribution:
     @pytest.mark.parametrize("name", sorted(SMALL_DICT_CORPORA))

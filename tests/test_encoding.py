@@ -211,6 +211,12 @@ class TestVocabularyLookups:
             vocab.index_of("nope", None)
         with pytest.raises(UnknownAttribute):
             vocab.value_at("nope", 0)
+        with pytest.raises(UnknownAttribute, match="^attribute 'nope' not in vocabulary$"):
+            vocab.column("nope")
+
+    def test_column_is_the_attribute_position(self, vocab):
+        for attr in vocab.attributes:
+            assert vocab.column(attr) == vocab.attributes.index(attr)
 
     def test_sizes_and_width(self, vocab):
         assert vocab.size("flow") == 3

@@ -377,6 +377,6 @@ class TestThresholdSweep:
                     candidates = abduce_antecedents(
                         model, seed, Strategy.threshold(threshold), allow_insertion=allow_insertion
                     )
-                    graph = build_candidate_graph(seed, candidates, vocab)
+                    graph = build_candidate_graph(seed, candidates)
                     want.append((threshold, len(enumerate_rules(graph, seed, limit=limit))))
                 assert result.points == tuple(want)

@@ -17,6 +17,7 @@ import oracles
 from conftest import MODEL_CONFIGS, encode_dicts, vocabulary_from_dicts
 from ruleforge import (
     UNK,
+    PosteriorDistribution,
     SeedObservation,
     SmoothedModel,
     Strategy,
@@ -28,6 +29,7 @@ from ruleforge import (
     parse_rule,
     parse_ruleset,
     predict_distribution,
+    predict_mle,
 )
 from ruleforge.abduction import DEFAULT_SID_BASE
 from ruleforge.parser import HEADER_FIELDS
@@ -82,7 +84,7 @@ def generate(corpus, seed_index, strategy, allow_insertion, limit):
     seed = SeedObservation.from_rule(seed_rule, vocab)
     assert seed.encoded.tolist() == encode_dicts([row], vocab)[0].tolist()
     candidates = abduce_antecedents(model, seed, strategy, allow_insertion=allow_insertion)
-    graph = build_candidate_graph(seed, candidates, vocab)
+    graph = build_candidate_graph(seed, candidates)
     return graph, enumerate_rules(graph, seed, limit=limit)
 
 
@@ -185,6 +187,26 @@ def test_posterior_rows_sum_to_one(corpus, unseen):
                 assert abs(normalized.sum() - 1.0) <= 1e-9
 
 
+@st.composite
+def tie_heavy_distributions(draw):
+    """A posterior whose values share at most three log scores, so most of them tie."""
+    values = (UNK, *sorted(draw(st.lists(st.sampled_from(OPTION_VALUES), unique=True))))
+    scores = st.sampled_from([0.0, -1.0, -2.5])
+    log_scores = np.array(draw(st.lists(scores, min_size=len(values), max_size=len(values))))
+    shifted = np.exp(log_scores - log_scores.max())
+    return PosteriorDistribution("k0", values, log_scores, shifted / shifted.sum())
+
+
+@DETERMINISTIC
+@given(distribution=tie_heavy_distributions())
+def test_mle_selects_what_top_one_selects(distribution):
+    """Strategy.mle() is topk(1): predict_mle's value, the smallest string among the tied best."""
+    selected = Strategy.mle().select(distribution)
+    assert selected == Strategy.topk(1).select(distribution) == [predict_mle(distribution)]
+    values, normalized = distribution.values, distribution.normalized.tolist()
+    assert selected == [values[oracles.ranked_order(values, normalized)[0]]]
+
+
 @DETERMINISTIC
 @given(
     corpus=CORPUS,
@@ -233,8 +255,8 @@ def test_layers_lead_with_the_seed_without_repeats(corpus, seed_index, data):
         attr: data.draw(st.lists(st.sampled_from(vocab.values[attr]), max_size=6))
         for attr in vocab.attributes
     }
-    graph = build_candidate_graph(seed, candidates, vocab)
-    assert graph.attribute_order == vocab.attributes
+    graph = build_candidate_graph(seed, candidates)
+    assert tuple(graph.layers) == vocab.attributes
     for attr in vocab.attributes:
         layer = graph.layers[attr]
         assert layer[0] == row.get(attr, UNK)
