@@ -23,9 +23,9 @@ The model is its sufficient statistics: the sorted distinct rows of the
 count is a weighted sum over those rows (Moore & Lee, "Cached Sufficient
 Statistics for Efficient Machine Learning with Large Datasets", JAIR 8, 1998),
 so the two arrays are all a model keeps and all a model file stores. fit and
-load only sort and merge the rows (_distinct_rows), when they are not sorted
-and distinct already; each count is a weighted bincount over the stored
-columns, taken when a caller asks for it.
+load both make a CountTable, which checks the rows and sorts and merges them
+when they are not sorted and distinct already; each count is a weighted
+bincount over the stored columns, taken when a caller asks for it.
 
 A model file is the compact JSON text json.dumps(payload, sort_keys=True)
 gives, plus a newline.
@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 from ._numpy import np
 
-from .encoding import UNK, AttributeVocabulary, string_order
+from .encoding import AttributeVocabulary, string_order
 from .errors import RuleforgeError
 
 MODEL_FORMAT = "ruleforge-model"
@@ -53,18 +53,19 @@ _EXACT_COUNTS = 2**53
 
 
 class EmptyDataset(RuleforgeError):
-    """fit() was given no encoded rules."""
+    """A CountTable, so fit(), was given no encoded rules."""
 
 
 @dataclass
 class CountTable:
     """The training rows as the model keeps them, and the counts taken from them.
 
-    rows holds the sorted distinct rows of the (n x A) code matrix, columns in
-    vocab.attributes order, and multiplicities how often each occurs;
-    num_samples is their sum. rows is stored column-major, so each
-    attribute's column is a contiguous view. marginal() and pair() count from
-    those columns on every call; nothing else is kept.
+    Made from an (m x A) integer code matrix, columns in vocab.attributes
+    order, and one integer multiplicity >= 1 per row, summing to num_samples
+    < 2**53; no rows raise EmptyDataset, other invalid input ValueError. rows
+    keeps the sorted distinct rows, column-major so each attribute's column is
+    a contiguous view, and multiplicities how often each occurs. marginal()
+    and pair() count from those columns on every call; nothing else is kept.
     """
 
     rows: np.ndarray
@@ -73,7 +74,26 @@ class CountTable:
     num_samples: int = field(init=False)
 
     def __post_init__(self):
-        self.num_samples = int(self.multiplicities.sum())
+        rows, weights = np.asarray(self.rows), np.asarray(self.multiplicities)
+        if rows.shape[:1] == (0,):  # a scalar is no matrix, which _check_codes reports
+            raise EmptyDataset("cannot fit on an empty dataset")
+        _check_codes(rows, self.vocab)
+        if weights.shape != rows.shape[:1] or weights.dtype.kind not in "iu":
+            raise ValueError(f"multiplicities must be {len(rows)} integers, one per row")
+        self.num_samples = sum(weights.tolist())  # exact: an int64 sum can wrap
+        if weights.min() < 1 or self.num_samples >= _EXACT_COUNTS:
+            raise ValueError("multiplicities must be >= 1 and sum to less than 2**53")
+        if not _strictly_increasing(rows):
+            # Sort the rows and merge each run of equal rows. lexsort sorts by
+            # its last key first, and is several times faster than np.unique
+            # (rows, axis=0). With no columns every row is the same row.
+            order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
+            rows = rows[order]
+            starts = np.ones(len(rows), dtype=bool)
+            np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
+            rows, weights = rows[starts], np.add.reduceat(weights[order], np.flatnonzero(starts))
+        self.rows = np.array(rows, order="F")  # a copy even of a caller's canonical rows
+        self.multiplicities = weights
 
     def column(self, attribute: str) -> np.ndarray:
         """The stored rows' codes for attribute, a view of rows."""
@@ -230,38 +250,28 @@ class SmoothedModel:
 
     @classmethod
     def _from_payload(cls, payload: dict, path: str) -> "SmoothedModel":
+        """The model of a parsed file; the vocabulary and CountTable check what they hold."""
         if payload.get("format") != MODEL_FORMAT:
             raise RuleforgeError(f"{path}: not a model file")
         version = payload["version"]
         if type(version) is not int or version != MODEL_VERSION:
             raise RuleforgeError(f"{path}: unsupported model version {version!r}")
-        num_samples = _json_scalar(payload, "num_samples", int)
-        if not 1 <= num_samples < _EXACT_COUNTS:
-            raise ValueError(f"num_samples must be >= 1 and < 2**53, got {num_samples}")
         vocab = AttributeVocabulary({a: tuple(v) for a, v in payload["vocabulary"].items()})
         if vocab.sha256() != payload["vocab_sha256"]:
             raise RuleforgeError(f"{path}: vocabulary hash mismatch")
-        for a, values in vocab.values.items():
-            if not _is_value_list(values):
-                raise ValueError(f"values of {a!r} are not UNK then strictly increasing strings")
         rows, multiplicities = payload["rows"], payload["multiplicities"]
-        if not (type(rows) is type(multiplicities) is list and len(rows) == len(multiplicities)):
-            raise ValueError("rows and multiplicities must be lists of the same length")
-        width = len(vocab.attributes)
-        if any(type(row) is not list or len(row) != width for row in rows):
-            raise ValueError(f"every row must be a list of {width} codes")
+        if not (type(rows) is type(multiplicities) is list):
+            raise ValueError("rows and multiplicities must be lists")
         # np.array would truncate a float and read true as 1, so the types come first
         if not set(map(type, itertools.chain(multiplicities, *rows))) <= {int}:
             raise ValueError("rows and multiplicities must hold integers only")
-        codes = np.array(rows, dtype=np.int64).reshape(len(rows), width)
-        sizes = np.array([vocab.size(a) for a in vocab.attributes], dtype=np.int64)
-        if ((codes < 0) | (codes >= sizes)).any():
-            raise ValueError("a code is outside its attribute's values")
-        weights = np.array(multiplicities, dtype=np.int64)
-        if (weights < 1).any() or sum(multiplicities) != num_samples:
-            raise ValueError("multiplicities must be >= 1 and sum to num_samples")
+        num_samples = _json_scalar(payload, "num_samples", int)
+        if num_samples < 1 or sum(multiplicities) != num_samples:
+            raise ValueError("num_samples must be >= 1 and the sum of the multiplicities")
         return cls(
-            counts=_distinct_rows(codes, weights, vocab),
+            counts=CountTable(
+                np.array(rows, dtype=np.int64), np.array(multiplicities, dtype=np.int64), vocab
+            ),
             alpha=_json_scalar(payload, "alpha", int, float),
             smoothing=payload["smoothing"],
             skip_unk_evidence=_json_scalar(payload, "skip_unk_evidence", bool),
@@ -276,15 +286,14 @@ def _json_scalar(payload: dict, key: str, *kinds: type):
     return payload[key]
 
 
-def _is_value_list(values: tuple) -> bool:
-    """UNK, then strictly increasing strings other than UNK, as build_vocabulary makes them."""
-    rest = values[1:]
-    return (
-        values[:1] == (UNK,)
-        and all(isinstance(v, str) for v in rest)
-        and UNK not in rest
-        and all(x < y for x, y in zip(rest, rest[1:]))
-    )
+def _check_codes(codes: np.ndarray, vocab: AttributeVocabulary) -> None:
+    """Raise ValueError unless codes is an integer (m x A) matrix of vocab's value codes."""
+    width = len(vocab.attributes)
+    if codes.ndim != 2 or codes.shape[1] != width or codes.dtype.kind not in "iu":
+        raise ValueError(f"codes must be an integer matrix of {width} columns, not {codes.shape}")
+    sizes = np.array([len(vocab.values[a]) for a in vocab.attributes], dtype=np.int64)
+    if (codes < 0).any() or (codes >= sizes).any():
+        raise ValueError("a code is outside its attribute's values")
 
 
 def _strictly_increasing(rows: np.ndarray) -> bool:
@@ -301,31 +310,6 @@ def _strictly_increasing(rows: np.ndarray) -> bool:
     return not tied.any()
 
 
-def _distinct_rows(rows: np.ndarray, weights: np.ndarray, vocab: AttributeVocabulary) -> CountTable:
-    """The CountTable of an (m x A) code matrix whose row i occurs weights[i] times.
-
-    Repeated rows are merged and the rest sorted, so the same multiset of
-    rows gives the same CountTable in any order. Rows that are already
-    sorted and distinct, as a model file holds them, are kept as they are.
-    """
-    if not _strictly_increasing(rows):
-        # Sort the rows lexicographically and merge each run of equal rows.
-        # lexsort sorts by its last key first, hence the reversed columns; it
-        # is several times faster than np.unique(rows, axis=0), which sorts
-        # structured records. With no columns there is nothing to sort:
-        # every row is the same row.
-        order = np.lexsort(rows.T[::-1]) if rows.shape[1] else np.arange(len(rows))
-        rows = rows[order]
-        starts = np.ones(len(rows), dtype=bool)
-        np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
-        rows, weights = rows[starts], np.add.reduceat(weights[order], np.flatnonzero(starts))
-    return CountTable(
-        rows=np.array(rows, order="F"),  # a copy even of a caller's canonical rows
-        multiplicities=weights,
-        vocab=vocab,
-    )
-
-
 def fit(
     codes: np.ndarray,
     vocab: AttributeVocabulary,
@@ -335,11 +319,9 @@ def fit(
     skip_unk_evidence: bool = False,
     with_prior: bool = False,
 ) -> SmoothedModel:
-    """The model of encode_corpus's (n x A) codes: their distinct rows and multiplicities."""
-    if len(codes) == 0:
-        raise EmptyDataset("cannot fit on an empty dataset")
+    """The model of encode_corpus's (n x A) codes, checked as load checks a file's rows."""
     return SmoothedModel(
-        counts=_distinct_rows(codes, np.ones(len(codes), dtype=np.int64), vocab),
+        counts=CountTable(codes, np.ones(len(codes), dtype=np.int64), vocab),
         alpha=alpha,
         smoothing=smoothing,
         skip_unk_evidence=skip_unk_evidence,
@@ -420,9 +402,12 @@ def predict_distribution(
 
     Every other vocabulary attribute contributes one conditional factor
     (UNK-valued evidence included unless the model was fitted with
-    skip_unk_evidence). Computed in log space by posterior_log_scores.
+    skip_unk_evidence). Computed in log space by posterior_log_scores. An
+    invalid code row raises ValueError.
     """
-    log_scores = posterior_log_scores(model, row.reshape(1, -1), target)
+    codes = row.reshape(1, -1)
+    _check_codes(codes, model.vocab)
+    log_scores = posterior_log_scores(model, codes, target)
     return PosteriorDistribution(
         attribute=target,
         values=model.vocab.values[target],

@@ -64,9 +64,10 @@ class AttributeVocabulary:
     """Closed world of attributes and their values.
 
     values maps each attribute to its value tuple: UNK exactly once, at index
-    0, followed by the observed values sorted lexicographically. attributes
-    is derived from it: the attribute names sorted lexicographically, the
-    column order of every code matrix, which column() looks up.
+    0, followed by the observed values sorted lexicographically; any other
+    value list raises ValueError. attributes is derived from it: the attribute
+    names sorted lexicographically, the column order of every code matrix,
+    which column() looks up.
     """
 
     values: dict[str, tuple[str, ...]]
@@ -74,6 +75,14 @@ class AttributeVocabulary:
     _columns: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for attribute, values in self.values.items():
+            rest = values[1:]
+            if values[:1] != (UNK,) or UNK in rest or not (
+                all(isinstance(v, str) for v in rest) and all(map(str.__lt__, rest, rest[1:]))
+            ):
+                raise ValueError(
+                    f"values of {attribute!r} are not UNK then strictly increasing strings"
+                )
         self.attributes = tuple(sorted(self.values))
         self._columns = {attribute: a for a, attribute in enumerate(self.attributes)}
 

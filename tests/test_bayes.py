@@ -19,6 +19,7 @@ from conftest import (
 )
 from ruleforge import (
     UNK,
+    CountTable,
     EmptyDataset,
     RuleforgeError,
     SmoothedModel,
@@ -383,6 +384,51 @@ class TestFitValidation:
         encoded = encode_dicts(ten_rule_corpus, vocab)
         with pytest.raises(ValueError):
             fit(encoded, vocab, smoothing="laplace")
+
+    @pytest.mark.parametrize(
+        "defect", ["code_negative", "code_too_large", "codes_float", "column_missing", "column_extra"]
+    )
+    def test_codes_outside_the_vocabulary(self, ten_rule_corpus, defect):
+        """fit checks its codes as load checks a model file's rows."""
+        vocab = vocabulary_from_dicts(ten_rule_corpus)
+        codes = encode_dicts(ten_rule_corpus, vocab)
+        if defect == "code_negative":  # encode_codes' code for a value the vocabulary lacks
+            codes[0, 0] = -1
+        elif defect == "code_too_large":
+            codes[0, 0] = vocab.size(vocab.attributes[0])
+        elif defect == "codes_float":
+            codes = codes.astype(np.float64)
+        elif defect == "column_missing":
+            codes = codes[:, 1:]
+        else:
+            codes = np.column_stack((codes, codes[:, 0]))
+        with pytest.raises(ValueError):
+            fit(codes, vocab)
+
+    @pytest.mark.parametrize(
+        "multiplicities",
+        [[1, 0], [1], [1, 1, 1], [1.0, 1.0], [2**52, 2**52], [2**62, 2**62]],
+        ids=["zero", "too_few", "too_many", "float", "sum_2_53", "sum_wraps_int64"],
+    )
+    def test_count_table_checks_its_multiplicities(self, ten_rule_corpus, multiplicities):
+        vocab = vocabulary_from_dicts(ten_rule_corpus)
+        rows = encode_dicts(ten_rule_corpus[:2], vocab)
+        with pytest.raises(ValueError):
+            CountTable(rows, np.array(multiplicities), vocab)
+
+
+def test_predict_distribution_rejects_invalid_codes(ten_rule_corpus):
+    """A -1 code is not read as the last value, nor one past the end as an IndexError."""
+    model, vocab = fit_dicts(ten_rule_corpus)
+    row = observation_record(ten_rule_corpus[0], vocab)
+    target, evidence = vocab.attributes[0], vocab.column(vocab.attributes[1])
+    for code in (-1, vocab.size(vocab.attributes[1])):
+        bad = row.copy()
+        bad[evidence] = code
+        with pytest.raises(ValueError, match="outside its attribute's values"):
+            predict_distribution(model, bad, target)
+    with pytest.raises(ValueError, match="integer matrix"):
+        predict_distribution(model, row[1:], target)
 
 
 class TestPersistence:

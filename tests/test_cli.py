@@ -1,5 +1,6 @@
 """Command-line interface: flows, exit codes, config handling, determinism."""
 
+import hashlib
 import io
 import json
 import logging
@@ -12,7 +13,6 @@ import pytest
 from conftest import TABLE2_TEXTS
 from ruleforge import SmoothedModel, __version__, parse_rule, parse_ruleset
 from ruleforge.cli import load_config, run
-from ruleforge.encoding import AttributeVocabulary
 
 
 @pytest.fixture(autouse=True)
@@ -307,6 +307,7 @@ class TestGenerate:
             "num_samples_negative",
             "num_samples_zero",
             "num_samples_2_53",
+            "num_samples_2_63",
             "alpha_negative",
             "alpha_infinite",
             "smoothing_bogus",
@@ -353,6 +354,11 @@ class TestGenerate:
             elif defect == "num_samples_2_53":  # the sum agrees, but counts past 2**53 round
                 multiplicities[0] += 2**53 - payload["num_samples"]
                 payload["num_samples"] = 2**53
+            elif defect == "num_samples_2_63":  # the sum agrees, but wraps in int64
+                assert len(rows) >= 2
+                del rows[2:]
+                multiplicities[:] = [2**62, 2**62]
+                payload["num_samples"] = 2**63
             elif defect == "alpha_negative":
                 payload["alpha"] = -1.0
             elif defect == "alpha_infinite":
@@ -402,8 +408,9 @@ class TestGenerate:
                     values[2] = "UNK"
                 else:
                     values[1], values[2] = values[2], values[1]
-                vocabulary = {k: tuple(v) for k, v in payload["vocabulary"].items()}
-                payload["vocab_sha256"] = AttributeVocabulary(vocabulary).sha256()
+                # the hash AttributeVocabulary.sha256 takes, which cannot hold these lists
+                canonical = json.dumps(payload["vocabulary"], sort_keys=True, separators=(",", ":"))
+                payload["vocab_sha256"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
             text = json.dumps(payload)
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")

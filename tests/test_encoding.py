@@ -231,6 +231,16 @@ class TestVocabularyLookups:
         assert again.sha256() == vocab.sha256()
         assert text == again.to_json()
 
+    @pytest.mark.parametrize(
+        "values",
+        [("a", UNK, "b"), ("!", "a", "b"), (UNK, "a", "a"), (UNK, "b", "a"), (UNK, "A", UNK)],
+        ids=["unk_swapped", "unk_missing", "value_duplicate", "values_out_of_order", "unk_repeated"],
+    )
+    def test_value_list_other_than_build_vocabulary_makes_raises(self, values):
+        """UNK, then strictly increasing strings; "!" < "a" and "A" < "UNK" are increasing."""
+        with pytest.raises(ValueError, match="^values of 'flow' are not UNK then strictly"):
+            AttributeVocabulary({"flow": values, "proto": (UNK, "tcp")})
+
     def test_attributes_are_sorted_from_any_dict_order(self, vocab):
         shuffled = AttributeVocabulary(dict(reversed(vocab.values.items())))
         assert list(shuffled.values) == ["proto", "flow"]
@@ -263,7 +273,7 @@ print(json.dumps({{"digest": digest, "loaded": loaded}}))
 @pytest.mark.parametrize(
     "values",
     [
-        {"content": [UNK, "caf\u00e9", "\U0001d11e", "\x1f\"\\"], "flow": [UNK, "\u2028"]},
+        {"content": [UNK, "\x1f\"\\", "caf\u00e9", "\U0001d11e"], "flow": [UNK, "\u2028"]},
         {"\u00e9t\u00e9": [UNK, "\u65e5\u672c"]},
         {},
     ],

@@ -17,6 +17,7 @@ import oracles
 from conftest import MODEL_CONFIGS, encode_dicts, vocabulary_from_dicts
 from ruleforge import (
     UNK,
+    AttributeVocabulary,
     PosteriorDistribution,
     SeedObservation,
     SmoothedModel,
@@ -152,6 +153,31 @@ def test_model_file_round_trips(corpus, config, shuffle, tmp_path_factory):
         payload["multiplicities"].append(payload["multiplicities"][split] - 1)
         payload["multiplicities"][split] = 1
     path.write_text(json.dumps(payload), encoding="utf-8")
+    assert SmoothedModel.load(str(path)).to_json() == text
+
+
+# Any vocabulary build_vocabulary could make: UNK, then distinct sorted strings.
+VOCABULARY = st.dictionaries(
+    st.text(max_size=3),
+    st.sets(st.text(max_size=3), max_size=4).map(lambda values: (UNK, *sorted(values - {UNK}))),
+    max_size=4,
+).map(AttributeVocabulary)
+
+
+@settings(DETERMINISTIC, max_examples=50)
+@given(vocab=VOCABULARY, config=st.sampled_from(MODEL_CONFIGS), data=st.data())
+def test_every_fitted_model_saves_as_a_file_that_load_reads_back(
+    vocab, config, data, tmp_path_factory
+):
+    """fit, to_json, load, to_json: the same text for any valid codes, repeated and unsorted."""
+    row = st.tuples(*(st.integers(0, vocab.size(a) - 1) for a in vocab.attributes))
+    pool = data.draw(st.lists(row, min_size=1, max_size=6))
+    rows = data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    codes = np.array(rows, dtype=np.int64).reshape(len(rows), len(vocab.attributes))
+    alpha, kwargs = config
+    text = fit(codes, vocab, alpha, **kwargs).to_json()
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    path.write_text(text, encoding="utf-8")
     assert SmoothedModel.load(str(path)).to_json() == text
 
 
