@@ -176,15 +176,20 @@ def abduce_antecedents(
 
 
 def seed_posteriors(
-    model: SmoothedModel, seed: SeedObservation, *, allow_insertion: bool = False
+    model: SmoothedModel,
+    seed: SeedObservation,
+    *,
+    targets: Sequence[str] | None = None,
+    allow_insertion: bool = False,
 ) -> dict[str, PosteriorDistribution]:
     """Posterior of each attribute abduction may change, predicted from all the others.
 
-    Those are the attributes the seed carries, or every one with allow_insertion.
+    Those are the targets (by default every vocabulary attribute) the seed
+    carries, or every target with allow_insertion.
     """
     return {
         attr: predict_distribution(model, seed.encoded, attr)
-        for attr in seed.vocab.attributes
+        for attr in (seed.vocab.attributes if targets is None else targets)
         if allow_insertion or seed.value_of(attr) != UNK
     }
 

@@ -103,6 +103,8 @@ _PROBABILITY = _bounded(float, "a number in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 def _coerce_config(key: str, raw: str, action: argparse.Action):
+    if "\0" in raw:  # no command-line flag can carry one, and no path may hold one
+        raise UsageError(f"config field {key!r}: a value cannot hold a NUL byte, got {raw!r}")
     if action.nargs == 0:  # store_true
         word = raw.strip().lower()
         if word not in _BOOL_WORDS:
@@ -519,9 +521,11 @@ def _cmd_abduce(args) -> int:
     model, seed = _load_seed(args)
     if args.target:
         model.vocab.values_of(args.target)  # an unknown --target raises UnknownAttribute
-    posteriors = seed_posteriors(model, seed, allow_insertion=args.allow_insertion)
-    candidates = select_candidates(seed, _strategy(args), posteriors)
     targets = [args.target] if args.target else model.vocab.attributes
+    posteriors = seed_posteriors(
+        model, seed, targets=targets, allow_insertion=args.allow_insertion
+    )
+    candidates = select_candidates(seed, _strategy(args), posteriors)
     lines = [
         f"{attribute}\t{value}\t{posteriors[attribute].probability(value):.6f}\n"
         for attribute in targets

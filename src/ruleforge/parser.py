@@ -25,6 +25,12 @@ where a sid segment could carry that sid, found by one regex that never
 misses such a line, and returns the same rule the first match over
 ``parse_ruleset`` would. Both take the file's text or the open file, which
 they read a line at a time.
+
+A rules file repeats a few headers and options across many rules, so the
+rules of one parse_ruleset call share them: each distinct header text is
+parsed once into one RuleHeader, and each distinct option segment once into
+one RuleOption, which every rule that holds that text reuses. The two
+records are frozen, so sharing them is safe.
 """
 
 from __future__ import annotations
@@ -95,6 +101,8 @@ class MissingSid(RuleforgeError):
     """A rule flagged for emission has no sid."""
 
 
+# RuleHeader and RuleOption stay frozen: parse_ruleset gives rules with equal
+# header or option text one shared record.
 @dataclass(frozen=True, slots=True)
 class RuleHeader:
     action: str
@@ -217,11 +225,19 @@ def parse_rule(text: str) -> ParsedRule:
     Raises MalformedHeader, UnterminatedOption, or InvalidOptionValue with a
     byte offset into the joined rule text.
     """
-    return _parse_line(" ".join(line for _, line in _logical_lines(text)))
+    return _parse_line(" ".join(line for _, line in _logical_lines(text)), {}, {})
 
 
-def _parse_line(line: str) -> ParsedRule:
-    """Parse one logical line as _logical_lines yields it: joined and stripped."""
+def _parse_line(
+    line: str, headers: dict[str, RuleHeader], options: dict[str, RuleOption]
+) -> ParsedRule:
+    """Parse one logical line as _logical_lines yields it: joined and stripped.
+
+    headers maps header text to the RuleHeader it parsed to, and options a raw
+    option segment to its RuleOption; the line reuses what they hold and adds
+    what it parses. Two tables, because a body segment may read exactly as
+    another line's header. Errors and identity options are never stored.
+    """
     if not line:
         raise MalformedHeader("empty rule text", offset=0)
 
@@ -237,27 +253,33 @@ def _parse_line(line: str) -> ParsedRule:
         body = line[lparen + 1 : -1]
         body_offset = lparen + 1
 
-    tokens = _header_tokens(header_text)
-    if len(tokens) != 7:
-        raise MalformedHeader(
-            f"expected 7 header fields, found {len(tokens)}", offset=len(header_text)
-        )
-    direction = tokens[4]
-    if direction not in DIRECTIONS:
-        raise MalformedHeader(
-            f"invalid direction token {direction!r}",
-            offset=max(header_text.find(direction), 0),
-        )
-    header = RuleHeader(*tokens)
+    header = headers.get(header_text)
+    if header is None:
+        tokens = _header_tokens(header_text)
+        if len(tokens) != 7:
+            raise MalformedHeader(
+                f"expected 7 header fields, found {len(tokens)}", offset=len(header_text)
+            )
+        direction = tokens[4]
+        if direction not in DIRECTIONS:
+            raise MalformedHeader(
+                f"invalid direction token {direction!r}",
+                offset=max(header_text.find(direction), 0),
+            )
+        header = headers[header_text] = RuleHeader(*tokens)
 
-    options: list[RuleOption] = []
+    rule_options: list[RuleOption] = []
     sid: int | None = None
     rev: int | None = None
     msg: str | None = None
     references: list[str] = []
     if body is not None:
-        for segment, seg_offset in _split_options(body, body_offset):
-            segment = segment.strip()
+        for raw, seg_offset in _split_options(body, body_offset):
+            option = options.get(raw)
+            if option is not None:
+                rule_options.append(option)
+                continue
+            segment = raw.strip()
             if not segment:
                 continue
             key, _, raw_value = segment.partition(":")
@@ -282,11 +304,12 @@ def _parse_line(line: str) -> ParsedRule:
             elif key == "reference":
                 references.append(value)
             else:
-                options.append(RuleOption(key=key, value=value))
+                option = options[raw] = RuleOption(key=key, value=value)
+                rule_options.append(option)
 
     return ParsedRule(
         header=header,
-        options=tuple(options),
+        options=tuple(rule_options),
         sid=sid,
         rev=rev,
         msg=msg,
@@ -381,9 +404,11 @@ def parse_ruleset(text: str | TextIO) -> tuple[list[ParsedRule], list[ParseError
     """
     rules: list[ParsedRule] = []
     errors: list[ParseError] = []
+    headers: dict[str, RuleHeader] = {}
+    options: dict[str, RuleOption] = {}
     for line_no, logical in _logical_lines(text):
         try:
-            rules.append(_parse_line(logical))
+            rules.append(_parse_line(logical, headers, options))
         except RuleSyntaxError as exc:
             errors.append(ParseError(line_no, str(exc)))
     return rules, errors
@@ -426,7 +451,7 @@ def find_rule(text: str | TextIO, sid: int) -> tuple[ParsedRule | None, list[Par
         if not _may_hold_sid(logical, sid):
             continue
         try:
-            rule = _parse_line(logical)
+            rule = _parse_line(logical, {}, {})
         except RuleSyntaxError as exc:
             errors.append(ParseError(line_no, str(exc)))
             continue

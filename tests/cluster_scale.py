@@ -35,8 +35,8 @@ import dataclasses, sys
 sys.path.insert(0, sys.argv[1])
 from corpus import generate
 from run import WORKLOADS
-spec = dataclasses.replace(WORKLOADS["cluster"].spec, rules=int(sys.argv[2]))
-open(sys.argv[3], "w", encoding="utf-8").write(generate(spec, 1).text)
+spec = dataclasses.replace(WORKLOADS[sys.argv[2]].spec, rules=int(sys.argv[3]))
+open(sys.argv[4], "w", encoding="utf-8").write(generate(spec, 1).text)
 """
 
 
@@ -53,17 +53,24 @@ def peak_rss(argv: list[str], log: Path) -> int:
     return usage.ru_maxrss * 1024  # KiB on Linux
 
 
+def corpus_and_base(work: Path, workload: str, rules: int) -> tuple[Path, int]:
+    """The workload's corpus at this many rules, written in work, and B in bytes."""
+    corpus, log = work / "corpus.rules", work / "stderr.txt"
+    argv = ["-c", WRITE_CORPUS, str(ROOT / "perfbench"), workload, str(rules), str(corpus)]
+    peak_rss([sys.executable, *argv], log)
+    base = peak_rss([sys.executable, "-c", "import numpy, ruleforge.cli"], log)
+    own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    if own >= base:
+        sys.exit(f"this process peaked at {own / 2**20:.1f} MiB, not below B: no floor-free reading")
+    return corpus, base
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory() as work:
-        corpus, log = Path(work) / "corpus.rules", Path(work) / "stderr.txt"
-        python = sys.executable
-        peak_rss([python, "-c", WRITE_CORPUS, str(ROOT / "perfbench"), str(RULES), str(corpus)], log)
-        base = peak_rss([python, "-c", "import numpy, ruleforge.cli"], log)
-        own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-        if own >= base:
-            sys.exit(f"this process peaked at {own / 2**20:.1f} MiB, not below B: no floor-free reading")
+        corpus, base = corpus_and_base(Path(work), "cluster", RULES)
         argv = ["-m", "ruleforge.cli", "cluster", "--rules", str(corpus), "--cut-count", str(CUT_COUNT)]
-        peak = peak_rss([python, *argv, "--out", str(Path(work) / "clusters.csv")], log)
+        out = Path(work) / "clusters.csv"
+        peak = peak_rss([sys.executable, *argv, "--out", str(out)], Path(work) / "stderr.txt")
     bound = base + ROOM * RULES * RULES * 8
     verdict = "ok" if peak <= bound else "FAIL"
     print(

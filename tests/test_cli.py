@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import ruleforge.abduction
 from conftest import TABLE2_TEXTS
 from ruleforge import SmoothedModel, __version__, parse_rule, parse_ruleset
 from ruleforge.cli import load_config, run
@@ -182,6 +183,27 @@ class TestAbduce:
             ["abduce", "--model", trained_model, "--rules", table2_file, "--seed-sid", "999"]
         )
         assert code == 2
+
+    def test_target_scores_only_that_attribute(self, capsys, monkeypatch, table2_file, trained_model):
+        scored = []
+        predict = ruleforge.abduction.predict_distribution
+
+        def counted(model, row, attribute):
+            scored.append(attribute)
+            return predict(model, row, attribute)
+
+        monkeypatch.setattr(ruleforge.abduction, "predict_distribution", counted)
+        argv = ["abduce", "--model", trained_model, "--rules", table2_file, "--seed-sid", "13162"]
+        capsys.readouterr()
+        assert run(argv) == 0
+        full = capsys.readouterr().out.splitlines(keepends=True)
+        assert len(scored) > 3
+        for target in ["byte_test", "dce_opnum", "target_port", "flow"]:
+            scored.clear()
+            assert run([*argv, "--target", target]) == 0
+            assert scored == [target]
+            expected = [line for line in full if line.startswith(target + "\t")]
+            assert capsys.readouterr().out == "".join(expected)
 
     def test_unknown_target(self, capsys, table2_file, trained_model):
         argv = ["abduce", "--model", trained_model, "--rules", table2_file, "--seed-sid", "13162"]
@@ -687,6 +709,23 @@ class TestConfigFile:
     def test_missing_config_file(self, table2_file):
         assert run(["parse", "--config", "/nonexistent.conf", "--rules", table2_file]) == 1
 
+    @pytest.mark.parametrize(
+        "command, field",
+        [("parse", "rules"), ("parse", "out"), ("train", "rules"), ("train", "out"),
+         ("train", "vocab_out")],
+    )
+    def test_nul_byte_in_a_path_is_usage_error(self, tmp_path, capsys, table2_file, command, field):
+        config = tmp_path / "forge.conf"
+        config.write_text(f"{field} = {tmp_path / 'a'}\0b\n", encoding="utf-8")
+        argv = [command, "--config", str(config)]
+        if field != "rules":
+            argv += ["--rules", table2_file]
+        if command == "train" and field != "out":
+            argv += ["--out", str(tmp_path / "model.json")]
+        capsys.readouterr()
+        assert run(argv) == 1
+        assert capsys.readouterr().err.startswith(f"usage error: config field {field!r}: ")
+
 
 class TestFlagRanges:
     @pytest.mark.parametrize("form", ["argv", "config"])
@@ -1033,6 +1072,19 @@ class TestConsoleScript:
         )
         assert result.returncode == 2
         assert result.stderr.startswith(f"ERROR ruleforge {bad}: 'utf-8' codec can't decode")
+        assert "Traceback" not in result.stderr
+
+    def test_nul_byte_in_a_config_path_exits_1_without_a_traceback(self, tmp_path, table2_file):
+        config = tmp_path / "forge.conf"
+        config.write_text("out = model\0.json\n", encoding="utf-8")
+        result = subprocess.run(
+            [sys.executable, "-m", "ruleforge.cli", "train", "--config", str(config),
+             "--rules", table2_file],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stderr.startswith("usage error: config field 'out': ")
         assert "Traceback" not in result.stderr
 
     @pytest.fixture

@@ -3,6 +3,7 @@
 Hypothesis runs derandomized, so every run draws the same examples.
 """
 
+import dataclasses
 import io
 import itertools
 import sys
@@ -14,7 +15,15 @@ from hypothesis import strategies as st
 
 import oracles
 from ruleforge import RuleforgeError, find_rule, parse_rule, parse_ruleset, serialize_rule
-from ruleforge.parser import UnterminatedOption, _may_hold_sid, _split_options
+from ruleforge.parser import (
+    ParseError,
+    RuleSyntaxError,
+    UnterminatedOption,
+    _logical_lines,
+    _may_hold_sid,
+    _parse_line,
+    _split_options,
+)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=500)
 
@@ -82,6 +91,43 @@ SEED_TEXT = st.lists(
     st.one_of(SEED_LINE, SPLIT_LINE, COMMENT, RULE_LINE), min_size=1, max_size=8
 ).map("\n".join)
 
+
+# Rules files that reuse a few header texts and option segments, with the
+# blanks around and inside them varied, so that one parse_ruleset call meets
+# the same text again, or an equal record from other text. A body segment may
+# read exactly as another line's header text, and some lines fail to parse.
+BLANKS = st.sampled_from(["", " ", "  ", "\t"])
+REUSED_HEADER = st.sampled_from(
+    ["alert tcp a b -> c d", "alert udp a b -> c d", "drop tcp [1, 2] any <> $H 80",
+     "alert tcp a b => c d", "alert tcp a b"]
+)
+REUSED_SEGMENT = st.sampled_from(
+    ["flow:to_server,established", "nocase", 'content:"a;b"', "FLOW : x", "alert tcp a b -> c d",
+     "alert udp a b -> c d", "sid:5", "sid:6", "rev:x", 'msg:"m"', "reference:r", ":x", ""]
+)
+
+
+def spaced(text: str, blanks: list[str]) -> str:
+    """text with each space followed by the next of blanks in turn."""
+    parts, more = text.split(" "), itertools.cycle(blanks)
+    return parts[0] + "".join(" " + next(more) + part for part in parts[1:])
+
+
+REUSED_LINE = st.builds(
+    lambda lead, header, inside, gap, segments, end: (
+        f"{lead}{spaced(header, inside)}{gap}({';'.join(segments)}{end})"
+    ),
+    BLANKS,
+    REUSED_HEADER,
+    st.lists(BLANKS, min_size=1, max_size=3),
+    BLANKS,
+    st.lists(st.builds("{}{}{}".format, BLANKS, REUSED_SEGMENT, BLANKS), max_size=5),
+    st.sampled_from([";", "", "; "]),
+)
+REUSED_TEXT = st.lists(st.one_of(REUSED_LINE, REUSED_HEADER), min_size=1, max_size=10).map(
+    "\n".join
+)
+COLLISION = "alert udp a b -> c d (alert tcp a b -> c d ;sid:5;)\nalert tcp a b -> c d (x:1;)"
 
 # Rules files as bytes: lines that mix \n, \r\n and lone \r, quoted values that
 # hold a form feed or U+2028, maybe a leading byte-order mark, a continuation
@@ -182,6 +228,56 @@ def test_find_rule_agrees_with_the_whole_file_parse(text, sid):
     assert rule == expected
     # the errors reported are some of the file's, in file order
     assert errors == [error for error in parse_ruleset(text)[1] if error in errors]
+
+
+def parse_each_line_alone(text):
+    """parse_ruleset's result, with no record shared between the lines."""
+    rules, errors = [], []
+    for line_no, logical in _logical_lines(text):
+        try:
+            rules.append(_parse_line(logical, {}, {}))
+        except RuleSyntaxError as exc:
+            errors.append(ParseError(line_no, str(exc)))
+    return rules, errors
+
+
+@DETERMINISTIC
+@given(text=st.one_of(REUSED_TEXT, RULES_TEXT))
+@example(text=COLLISION)
+@example(text="\n".join(reversed(COLLISION.splitlines())))
+def test_shared_records_parse_as_each_line_alone(text):
+    """The same rules, and errors with the same lines, messages and offsets."""
+    assert parse_ruleset(text) == parse_each_line_alone(text)
+
+
+@DETERMINISTIC
+@given(text=REUSED_TEXT)
+@example(text=COLLISION)
+def test_find_rule_gives_the_whole_file_parses_rule(text):
+    rules, _ = parse_ruleset(text)
+    for sid in {rule.sid for rule in rules}:
+        if sid is not None:
+            assert find_rule(text, sid)[0] == next(rule for rule in rules if rule.sid == sid)
+
+
+def test_equal_header_text_and_segments_share_one_frozen_record():
+    rules, errors = parse_ruleset(
+        "alert tcp a b -> c d (flow:x; nocase; sid:1;)\n"
+        "alert tcp a b -> c d (flow:x; nocase; sid:2;)\n"
+        "alert tcp  a b -> c d (flow: x;  nocase)\n"
+    )
+    assert errors == []
+    first, second, third = rules
+    assert second.header is first.header
+    assert all(b is a for a, b in zip(first.options, second.options, strict=True))
+    # other text reads as equal records
+    assert third.header == first.header
+    assert third.options == first.options
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.header.protocol = "udp"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        first.options[0].value = "y"
+    assert second.header.protocol == "tcp" and second.options[0].value == "x"
 
 
 @DETERMINISTIC
