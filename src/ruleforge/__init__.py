@@ -28,7 +28,6 @@ _PUBLIC = {
         "VALUE_JOIN",
         "InvalidOptionValue",
         "MalformedHeader",
-        "MissingSid",
         "ParseError",
         "ParsedRule",
         "RuleHeader",

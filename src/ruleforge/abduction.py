@@ -350,8 +350,7 @@ def materialize_snort_rules(
         raise ValueError(f"category must not hold '\"' or a line break, got {category!r}")
     return "".join(
         serialize_rule(
-            replace(gen.rule, sid=sid, rev=1, msg=f"{category} Generated rule alert from ID-{sid}"),
-            require_sid=True,
+            replace(gen.rule, sid=sid, rev=1, msg=f"{category} Generated rule alert from ID-{sid}")
         )
         + "\n"
         for sid, gen in enumerate(generated, start=sid_base)

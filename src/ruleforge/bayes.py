@@ -229,7 +229,7 @@ class SmoothedModel:
             "with_prior": self.with_prior,
             "num_samples": self.counts.num_samples,
             "vocab_sha256": self.vocab.sha256(),
-            "vocabulary": self.vocab.values,
+            "vocabulary": dict(self.vocab.values),
             "rows": self.counts.rows.tolist(),
             "multiplicities": self.counts.multiplicities.tolist(),
         }

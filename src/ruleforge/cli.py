@@ -45,14 +45,7 @@ from .clustering import DistanceParams, LINKAGES, agglomerate, build_distance_ma
 from .encoding import ExclusionList, build_vocabulary, encode_corpus
 from .errors import RuleforgeError
 from .evaluation import SplitSpec, loco_evaluate
-from .parser import (
-    IDENTITY_KEYS,
-    ParseError,
-    ParsedRule,
-    find_rule,
-    parse_ruleset,
-    serialize_rule,
-)
+from .parser import ParseError, ParsedRule, find_rule, parse_ruleset, serialize_rule
 
 LOG = logging.getLogger("ruleforge")
 
@@ -145,7 +138,8 @@ def load_config(path: str, subs: dict[str, argparse.ArgumentParser] | None = Non
             if action.dest not in ("help", "config"):
                 fields.setdefault(action.dest, action)
     values: dict = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # read_text ends every line at \n; str.splitlines would also break inside a value
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -226,6 +220,13 @@ def _add_strategy_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--topk", type=_POSITIVE_INT, default=3, help="k for the topk strategy, >= 1 (default 3)"
     )
+
+
+def _add_seed_flags(sub: argparse.ArgumentParser) -> None:
+    """The flags of the commands that abduce from one seed rule: abduce, generate, sweep."""
+    sub.add_argument("--model", required=True, help="model file from train")
+    sub.add_argument("--rules", required=True, help="rules file holding the seed")
+    sub.add_argument("--seed-sid", type=int, required=True, help="sid of the seed rule")
     sub.add_argument(
         "--allow-insertion",
         action="store_true",
@@ -299,9 +300,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs["train"] = sub
 
     sub = commands.add_parser("abduce", help="rank candidate values for a seed rule")
-    sub.add_argument("--model", required=True, help="model file from train")
-    sub.add_argument("--rules", required=True, help="rules file holding the seed")
-    sub.add_argument("--seed-sid", type=int, required=True, help="sid of the seed rule")
+    _add_seed_flags(sub)
     sub.add_argument("--target", help="only this attribute (default: all attributes)")
     _add_strategy_flags(sub)
     _add_common(sub)
@@ -309,9 +308,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs["abduce"] = sub
 
     sub = commands.add_parser("generate", help="enumerate and emit new rules from a seed")
-    sub.add_argument("--model", required=True, help="model file from train")
-    sub.add_argument("--rules", required=True, help="rules file holding the seed")
-    sub.add_argument("--seed-sid", type=int, required=True, help="sid of the seed rule")
+    _add_seed_flags(sub)
     sub.add_argument(
         "--category",
         default="GENERATED",
@@ -373,9 +370,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     subs["evaluate"] = sub
 
     sub = commands.add_parser("sweep", help="generated-rule counts across thresholds")
-    sub.add_argument("--model", required=True, help="model file from train")
-    sub.add_argument("--rules", required=True, help="rules file holding the seed")
-    sub.add_argument("--seed-sid", type=int, required=True, help="sid of the seed rule")
+    _add_seed_flags(sub)
     sub.add_argument(
         "--thresholds",
         default="0.001,0.01,0.05,0.1",
@@ -386,11 +381,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         type=_NON_NEGATIVE_INT,
         default=DEFAULT_LIMIT,
         help=f"maximum rules to enumerate per threshold (default {DEFAULT_LIMIT})",
-    )
-    sub.add_argument(
-        "--allow-insertion",
-        action="store_true",
-        help="also offer candidates for attributes the seed does not carry",
     )
     _add_common(sub)
     sub.set_defaults(handler=_cmd_sweep)
@@ -435,10 +425,8 @@ def _read_rules(path: str) -> tuple[list[ParsedRule], list[ParseError]]:
 
 
 def _exclusions(args, drop_constant: bool) -> ExclusionList:
-    extra = {key.strip().lower() for key in args.exclude.split(",") if key.strip()}
-    return ExclusionList(
-        excluded_keys=frozenset(IDENTITY_KEYS | extra), drop_constant=drop_constant
-    )
+    excluded = frozenset(key.strip().lower() for key in args.exclude.split(",") if key.strip())
+    return ExclusionList(excluded_keys=excluded, drop_constant=drop_constant)
 
 
 def _load_seed(args) -> tuple[SmoothedModel, SeedObservation]:
@@ -519,8 +507,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_abduce(args) -> int:
     model, seed = _load_seed(args)
-    if args.target:
-        model.vocab.values_of(args.target)  # an unknown --target raises UnknownAttribute
+    # seed_posteriors raises UnknownAttribute for a --target the vocabulary lacks
     targets = [args.target] if args.target else model.vocab.attributes
     posteriors = seed_posteriors(
         model, seed, targets=targets, allow_insertion=args.allow_insertion

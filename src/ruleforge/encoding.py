@@ -23,12 +23,13 @@ lacks -1 instead, so in evaluation's held-out truth it matches no prediction.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 from ._numpy import np
 
 from .errors import RuleforgeError
-from .parser import IDENTITY_KEYS, ParsedRule
+from .parser import ParsedRule
 
 UNK = "UNK"
 
@@ -49,33 +50,37 @@ class UnknownAttribute(RuleforgeError):
 
 @dataclass(frozen=True)
 class ExclusionList:
-    """Attribute keys to keep out of the vocabulary.
+    """Attribute keys to keep out of the vocabulary (none by default).
 
-    drop_constant additionally removes attributes that appear in every rule
-    of the corpus with a single distinct value (they carry no signal).
+    The identity options (sid, rev, msg, reference) need no entry: the parser
+    keeps them out of every rule's attributes. drop_constant additionally
+    removes attributes that appear in every rule of the corpus with a single
+    distinct value (they carry no signal).
     """
 
-    excluded_keys: frozenset[str] = frozenset(IDENTITY_KEYS)
+    excluded_keys: frozenset[str] = frozenset()
     drop_constant: bool = True
 
 
-@dataclass
+@dataclass(frozen=True)
 class AttributeVocabulary:
-    """Closed world of attributes and their values.
+    """Closed world of attributes and their values, read-only once checked.
 
     values maps each attribute to its value tuple: UNK exactly once, at index
     0, followed by the observed values sorted lexicographically; any other
-    value list raises ValueError. attributes is derived from it: the attribute
-    names sorted lexicographically, the column order of every code matrix,
-    which column() looks up.
+    value list raises ValueError. It is a read-only view of a copy of the
+    mapping given. attributes is derived from it: the attribute names sorted
+    lexicographically, the column order of every code matrix, which column()
+    looks up.
     """
 
-    values: dict[str, tuple[str, ...]]
+    values: Mapping[str, tuple[str, ...]]
     attributes: tuple[str, ...] = field(init=False)
     _columns: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for attribute, values in self.values.items():
+        table = MappingProxyType(dict(self.values))
+        for attribute, values in table.items():
             rest = values[1:]
             if values[:1] != (UNK,) or UNK in rest or not (
                 all(isinstance(v, str) for v in rest) and all(map(str.__lt__, rest, rest[1:]))
@@ -83,8 +88,10 @@ class AttributeVocabulary:
                 raise ValueError(
                     f"values of {attribute!r} are not UNK then strictly increasing strings"
                 )
-        self.attributes = tuple(sorted(self.values))
-        self._columns = {attribute: a for a, attribute in enumerate(self.attributes)}
+        attributes = tuple(sorted(table))
+        object.__setattr__(self, "values", table)
+        object.__setattr__(self, "attributes", attributes)
+        object.__setattr__(self, "_columns", {name: a for a, name in enumerate(attributes)})
 
     def column(self, attribute: str) -> int:
         """attribute's column in every code matrix; raises as values_of does."""

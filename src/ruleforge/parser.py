@@ -97,10 +97,6 @@ class InvalidOptionValue(RuleSyntaxError):
     """An identity option (sid/rev) carries a non-numeric value."""
 
 
-class MissingSid(RuleforgeError):
-    """A rule flagged for emission has no sid."""
-
-
 # RuleHeader and RuleOption stay frozen: parse_ruleset gives rules with equal
 # header or option text one shared record.
 @dataclass(frozen=True, slots=True)
@@ -317,14 +313,13 @@ def _parse_line(
     )
 
 
-def serialize_rule(rule: ParsedRule, *, require_sid: bool = False) -> str:
+def serialize_rule(rule: ParsedRule) -> str:
     """Emit one-line snort syntax for a parsed rule.
 
     Options come first in their order (flag options as ``key;``), then msg,
-    references, sid, and rev. The output re-parses to an equal ParsedRule.
+    references, sid, and rev; an identity field that is None is left out.
+    The output re-parses to an equal ParsedRule.
     """
-    if require_sid and rule.sid is None:
-        raise MissingSid("rule has no sid")
     head = " ".join(_HEADER_TOKENS(rule.header))
     segments = [
         f"{opt.key}:{opt.value}" if opt.value else opt.key
@@ -368,30 +363,24 @@ def _logical_lines(source: str | TextIO):
     would also break at form feeds, vertical tabs, U+2028 and other
     characters that a quoted option value may hold.
     """
-    buffer: list[str] = []
+    buffer: list[str] = []  # the stripped parts of the logical line so far
     start_line = 0
     if isinstance(source, str):
         source = io.StringIO(source, newline=None)
     for line_no, raw in enumerate(source, start=1):
-        line = raw.rstrip()
-        if buffer:
-            if line.endswith("\\"):
-                buffer.append(line[:-1].strip())
+        line = raw.strip()
+        if not buffer:  # a blank or comment line only counts inside a continuation
+            if not line or line.startswith("#"):
                 continue
-            buffer.append(line.strip())
-            yield start_line, " ".join(part for part in buffer if part)
-            buffer = []
-            continue
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if stripped.endswith("\\"):
-            buffer = [stripped[:-1].strip()]
             start_line = line_no
+        if line.endswith("\\"):
+            buffer.append(line[:-1].strip())
             continue
-        yield line_no, stripped
+        buffer.append(line)
+        yield start_line, " ".join(filter(None, buffer))
+        buffer = []
     if buffer:
-        yield start_line, " ".join(part for part in buffer if part)
+        yield start_line, " ".join(filter(None, buffer))
 
 
 def parse_ruleset(text: str | TextIO) -> tuple[list[ParsedRule], list[ParseError]]:

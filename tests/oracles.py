@@ -8,7 +8,9 @@ for the code that replaced them: ranked_order sorts a posterior's values by
 one (probability, string) key where the package sorts a string order by
 probability alone, posterior_loop scores a fitted model
 one record at a time, dense_pair_counts counts every cell of every pair table,
-split_options splits a rule body one character at a time, find_rule looks
+split_options splits a rule body one character at a time, logical_lines
+joins continuation lines in two branches (one to start a logical line, one
+to continue it) where the package has one, find_rule looks
 a sid up by parsing the whole file, merge_sequence agglomerates with
 three n x n arrays (the distances, an upper-triangle mask and a masked work
 copy) where the package keeps one, build_vocabulary and encode_corpus
@@ -20,9 +22,10 @@ the codes of one matrix per fold.
 
 from __future__ import annotations
 
+import io
 import itertools
 from collections import Counter
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
@@ -254,6 +257,34 @@ def split_options(body: str, base_offset: int) -> list[tuple[str, int]]:
     if tail.strip():
         segments.append((tail, base_offset + seg_start))
     return segments
+
+
+def logical_lines(source: str | TextIO):
+    """(first physical line number, joined logical line) pairs, as the parser yields them."""
+    buffer: list[str] = []
+    start_line = 0
+    if isinstance(source, str):
+        source = io.StringIO(source, newline=None)
+    for line_no, raw in enumerate(source, start=1):
+        line = raw.rstrip()
+        if buffer:
+            if line.endswith("\\"):
+                buffer.append(line[:-1].strip())
+                continue
+            buffer.append(line.strip())
+            yield start_line, " ".join(part for part in buffer if part)
+            buffer = []
+            continue
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if stripped.endswith("\\"):
+            buffer = [stripped[:-1].strip()]
+            start_line = line_no
+            continue
+        yield line_no, stripped
+    if buffer:
+        yield start_line, " ".join(part for part in buffer if part)
 
 
 def find_rule(text: str, sid: int) -> ParsedRule | None:

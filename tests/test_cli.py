@@ -13,6 +13,7 @@ import pytest
 import ruleforge.abduction
 from conftest import TABLE2_TEXTS
 from ruleforge import SmoothedModel, __version__, parse_rule, parse_ruleset
+from ruleforge import cli
 from ruleforge.cli import load_config, run
 
 
@@ -208,10 +209,10 @@ class TestAbduce:
     def test_unknown_target(self, capsys, table2_file, trained_model):
         argv = ["abduce", "--model", trained_model, "--rules", table2_file, "--seed-sid", "13162"]
         capsys.readouterr()
-        assert run_as_main([*argv, "--target", "nope"]) == 2
-        err = capsys.readouterr().err
-        assert "ERROR ruleforge attribute 'nope' not in vocabulary" in err
-        assert "Logging error" not in err
+        for insertion in [[], ["--allow-insertion"]]:
+            assert run_as_main([*argv, "--target", "nope", *insertion]) == 2
+            err = capsys.readouterr().err
+            assert err == "ERROR ruleforge attribute 'nope' not in vocabulary\n"
 
     def test_tampered_model_rejected(self, tmp_path, table2_file, trained_model):
         text = (tmp_path / "model.json").read_text(encoding="utf-8")
@@ -709,6 +710,16 @@ class TestConfigFile:
     def test_missing_config_file(self, table2_file):
         assert run(["parse", "--config", "/nonexistent.conf", "--rules", table2_file]) == 1
 
+    def test_a_value_breaks_only_at_a_line_end(self, tmp_path, table2_file):
+        """\x1c, a form feed, \x85 or U+2028 in a value stays in it, as on the command line."""
+        out = tmp_path / "a\x1cb\x0cc\x85d\u2028e.txt"
+        config = tmp_path / "forge.conf"
+        config.write_text(f"out = {out}\r\nrules = {table2_file}\r\n", encoding="utf-8")
+        plain = tmp_path / "plain.txt"
+        assert run(["parse", "--rules", table2_file, "--out", str(plain)]) == 0
+        assert run(["parse", "--config", str(config)]) == 0
+        assert out.read_bytes() == plain.read_bytes()
+
     @pytest.mark.parametrize(
         "command, field",
         [("parse", "rules"), ("parse", "out"), ("train", "rules"), ("train", "out"),
@@ -725,6 +736,134 @@ class TestConfigFile:
         capsys.readouterr()
         assert run(argv) == 1
         assert capsys.readouterr().err.startswith(f"usage error: config field {field!r}: ")
+
+
+# Every subcommand's flags as build_parser declared them before the seed
+# commands shared _add_seed_flags: option strings -> (dest, type, default,
+# choices, required, action kind). A type is named as cli names it. Config
+# files read each key through these actions, so none may change; the order
+# they are declared in (the order --help lists them) is not compared.
+SMOOTHING = ("corpus", "conventional")
+STRATEGIES = ("threshold", "topk", "mle")
+LINKAGES = ("single", "complete", "average")
+FLAGS = {
+    "parse": {
+        ("-h", "--help"): ("help", None, "==SUPPRESS==", None, False, "Help"),
+        ("--rules",): ("rules", None, None, None, True, "Store"),
+        ("--lint",): ("lint", None, False, None, False, "StoreTrue"),
+        ("--config",): ("config", None, None, None, False, "Store"),
+        ("--out",): ("out", None, None, None, False, "Store"),
+    },
+    "train": {
+        ("-h", "--help"): ("help", None, "==SUPPRESS==", None, False, "Help"),
+        ("--rules",): ("rules", None, None, None, True, "Store"),
+        ("--vocab-out",): ("vocab_out", None, None, None, False, "Store"),
+        ("--exclude",): ("exclude", None, "", None, False, "Store"),
+        ("--keep-constant",): ("keep_constant", None, False, None, False, "StoreTrue"),
+        ("--alpha",): ("alpha", "_ALPHA", 1.0, None, False, "Store"),
+        ("--smoothing",): ("smoothing", None, "corpus", SMOOTHING, False, "Store"),
+        ("--skip-unk-evidence",): ("skip_unk_evidence", None, False, None, False, "StoreTrue"),
+        ("--with-prior",): ("with_prior", None, False, None, False, "StoreTrue"),
+        ("--config",): ("config", None, None, None, False, "Store"),
+        ("--out",): ("out", None, None, None, True, "Store"),
+    },
+    "abduce": {
+        ("-h", "--help"): ("help", None, "==SUPPRESS==", None, False, "Help"),
+        ("--model",): ("model", None, None, None, True, "Store"),
+        ("--rules",): ("rules", None, None, None, True, "Store"),
+        ("--seed-sid",): ("seed_sid", "int", None, None, True, "Store"),
+        ("--target",): ("target", None, None, None, False, "Store"),
+        ("--strategy",): ("strategy", None, "threshold", STRATEGIES, False, "Store"),
+        ("--threshold",): ("threshold", "_PROBABILITY", 0.01, None, False, "Store"),
+        ("--topk",): ("topk", "_POSITIVE_INT", 3, None, False, "Store"),
+        ("--allow-insertion",): ("allow_insertion", None, False, None, False, "StoreTrue"),
+        ("--config",): ("config", None, None, None, False, "Store"),
+        ("--out",): ("out", None, None, None, False, "Store"),
+    },
+    "generate": {
+        ("-h", "--help"): ("help", None, "==SUPPRESS==", None, False, "Help"),
+        ("--model",): ("model", None, None, None, True, "Store"),
+        ("--rules",): ("rules", None, None, None, True, "Store"),
+        ("--seed-sid",): ("seed_sid", "int", None, None, True, "Store"),
+        ("--category",): ("category", None, "GENERATED", None, False, "Store"),
+        ("--sid-base",): ("sid_base", "_SID_BASE", 250001, None, False, "Store"),
+        ("--limit",): ("limit", "_NON_NEGATIVE_INT", 10000, None, False, "Store"),
+        ("--strict-limit",): ("strict_limit", None, False, None, False, "StoreTrue"),
+        ("--strategy",): ("strategy", None, "threshold", STRATEGIES, False, "Store"),
+        ("--threshold",): ("threshold", "_PROBABILITY", 0.01, None, False, "Store"),
+        ("--topk",): ("topk", "_POSITIVE_INT", 3, None, False, "Store"),
+        ("--allow-insertion",): ("allow_insertion", None, False, None, False, "StoreTrue"),
+        ("--config",): ("config", None, None, None, False, "Store"),
+        ("--out",): ("out", None, None, None, False, "Store"),
+    },
+    "cluster": {
+        ("-h", "--help"): ("help", None, "==SUPPRESS==", None, False, "Help"),
+        ("--rules",): ("rules", None, None, None, True, "Store"),
+        ("--w1",): ("w1", "_NON_NEGATIVE", 1.0, None, False, "Store"),
+        ("--w2",): ("w2", "_NON_NEGATIVE", 1.0, None, False, "Store"),
+        ("--linkage",): ("linkage", None, "average", LINKAGES, False, "Store"),
+        ("--cut-count",): ("cut_count", "_POSITIVE_INT", None, None, False, "Store"),
+        ("--cut-height",): ("cut_height", "_NON_NEGATIVE", None, None, False, "Store"),
+        ("--config",): ("config", None, None, None, False, "Store"),
+        ("--out",): ("out", None, None, None, False, "Store"),
+    },
+    "evaluate": {
+        ("-h", "--help"): ("help", None, "==SUPPRESS==", None, False, "Help"),
+        ("--rules",): ("rules", None, None, None, True, "Store"),
+        ("--folds",): ("folds", "_FOLDS", 10, None, False, "Store"),
+        ("--seed",): ("seed", "_NON_NEGATIVE_INT", 0, None, False, "Store"),
+        ("--exclude",): ("exclude", None, "", None, False, "Store"),
+        ("--with-clusters",): ("with_clusters", None, False, None, False, "StoreTrue"),
+        ("--cluster-train-only",): ("cluster_train_only", None, False, None, False, "StoreTrue"),
+        ("--alpha",): ("alpha", "_ALPHA", 1.0, None, False, "Store"),
+        ("--smoothing",): ("smoothing", None, "corpus", SMOOTHING, False, "Store"),
+        ("--skip-unk-evidence",): ("skip_unk_evidence", None, False, None, False, "StoreTrue"),
+        ("--with-prior",): ("with_prior", None, False, None, False, "StoreTrue"),
+        ("--w1",): ("w1", "_NON_NEGATIVE", 1.0, None, False, "Store"),
+        ("--w2",): ("w2", "_NON_NEGATIVE", 1.0, None, False, "Store"),
+        ("--linkage",): ("linkage", None, "average", LINKAGES, False, "Store"),
+        ("--cut-count",): ("cut_count", "_POSITIVE_INT", None, None, False, "Store"),
+        ("--cut-height",): ("cut_height", "_NON_NEGATIVE", None, None, False, "Store"),
+        ("--config",): ("config", None, None, None, False, "Store"),
+        ("--out",): ("out", None, None, None, False, "Store"),
+    },
+    "sweep": {
+        ("-h", "--help"): ("help", None, "==SUPPRESS==", None, False, "Help"),
+        ("--model",): ("model", None, None, None, True, "Store"),
+        ("--rules",): ("rules", None, None, None, True, "Store"),
+        ("--seed-sid",): ("seed_sid", "int", None, None, True, "Store"),
+        ("--thresholds",): ("thresholds", None, "0.001,0.01,0.05,0.1", None, False, "Store"),
+        ("--limit",): ("limit", "_NON_NEGATIVE_INT", 10000, None, False, "Store"),
+        ("--allow-insertion",): ("allow_insertion", None, False, None, False, "StoreTrue"),
+        ("--config",): ("config", None, None, None, False, "Store"),
+        ("--out",): ("out", None, None, None, False, "Store"),
+    },
+}
+
+
+
+def flag_table(sub) -> dict:
+    def type_name(kind):
+        if kind is None:
+            return None
+        return next((name for name, value in vars(cli).items() if value is kind), kind.__name__)
+
+    return {
+        tuple(action.option_strings): (
+            action.dest,
+            type_name(action.type),
+            action.default,
+            None if action.choices is None else tuple(action.choices),
+            action.required,
+            type(action).__name__.strip("_").removesuffix("Action"),
+        )
+        for action in sub._actions
+    }
+
+
+def test_every_flag_is_declared_as_before():
+    _, subs = cli.build_parser()
+    assert {name: flag_table(sub) for name, sub in subs.items()} == FLAGS
 
 
 class TestFlagRanges:

@@ -1,5 +1,6 @@
 """Vocabulary construction and categorical encoding."""
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -247,6 +248,23 @@ class TestVocabularyLookups:
         assert shuffled.attributes == ("flow", "proto")
         assert shuffled.sha256() == vocab.sha256()
         assert shuffled.to_json() == vocab.to_json()
+
+    def test_read_only_once_checked(self, vocab):
+        """No value list can be changed or added past the constructor's checks."""
+        given = {"flow": (UNK, "a")}
+        held = AttributeVocabulary(given)
+        given["flow"] = ("zz",)
+        given["b"] = ("zz",)
+        assert dict(held.values) == {"flow": (UNK, "a")}
+        with pytest.raises(TypeError):
+            vocab.values["b"] = ("zz",)
+        with pytest.raises(TypeError):
+            vocab.values["flow"] = (UNK, "z")
+        for name, value in [("values", {"b": ("zz",)}), ("attributes", ("b",))]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(vocab, name, value)
+        assert vocab.attributes == ("flow", "proto")
+        assert vocab.values["flow"] == (UNK, "a", "b")
 
 
 # The modules AttributeVocabulary.sha256 tries, in order.

@@ -8,7 +8,6 @@ from ruleforge import (
     VALUE_JOIN,
     InvalidOptionValue,
     MalformedHeader,
-    MissingSid,
     ParsedRule,
     RuleHeader,
     RuleOption,
@@ -199,11 +198,9 @@ class TestSerializeRule:
         rule = parse_rule("alert tcp any any -> any any (dce_stub_data; sid:1;)")
         assert "dce_stub_data;" in serialize_rule(rule)
 
-    def test_requires_sid_when_asked(self):
+    def test_rule_without_sid_serializes_without_one(self):
         rule = parse_rule("alert tcp any any -> any any (flow:a;)")
         assert serialize_rule(rule) == "alert tcp any any -> any any (flow:a;)"
-        with pytest.raises(MissingSid):
-            serialize_rule(rule, require_sid=True)
 
     def test_option_order_preserved(self):
         rule = ParsedRule(

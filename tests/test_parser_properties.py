@@ -14,7 +14,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ruleforge import RuleforgeError, find_rule, parse_rule, parse_ruleset, serialize_rule
+from ruleforge import (
+    IDENTITY_KEYS,
+    RuleforgeError,
+    find_rule,
+    parse_rule,
+    parse_ruleset,
+    serialize_rule,
+)
 from ruleforge.parser import (
     ParseError,
     RuleSyntaxError,
@@ -161,6 +168,44 @@ FILE_BYTES = st.builds(
 def open_text(data: bytes):
     """data as open(path, encoding="utf-8-sig") reads a file that holds it."""
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig")
+
+
+# Physical lines for _logical_lines: blank and comment lines, continuations
+# (with blanks around the backslash, an escaped backslash, a lone backslash)
+# and arbitrary text, ended by \n, \r\n or \r in any mix.
+PHYSICAL_LINE = st.one_of(
+    st.sampled_from(
+        ["", "  ", "\t", "# c", "  # c \\", "#", "a", " a b ", " b \\", "c\\ ", "\\", " \\ ",
+         "x\\\\", "d \t\\", "e\\\\ \\"]
+    ),
+    st.text(st.sampled_from(" \t#\\ab\x0c\u2028"), max_size=6),
+)
+CONTINUED_TEXT = st.builds(
+    lambda lines, ends: "".join(line + end for line, end in zip(lines, itertools.cycle(ends))),
+    st.lists(PHYSICAL_LINE, max_size=10),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=1, max_size=3),
+).flatmap(lambda text: st.sampled_from([text, text.rstrip("\r\n")]))
+
+
+@DETERMINISTIC
+@given(text=CONTINUED_TEXT)
+@example(text="a \\\r\n# b\r\n\r\nc")
+@example(text="\\\n\\\n")
+def test_logical_lines_join_as_the_two_branch_reference(text):
+    assert list(_logical_lines(text)) == list(oracles.logical_lines(text))
+    data = text.encode("utf-8")
+    assert list(_logical_lines(open_text(data))) == list(oracles.logical_lines(open_text(data)))
+
+
+@DETERMINISTIC
+@given(text=st.one_of(RULES_TEXT, SEED_TEXT, REUSED_TEXT))
+@example(text="alert tcp a b -> c d (SID : 1; Msg:m; REFERENCE:r; rev :2; flow:x)")
+@example(text="alert tcp a b -> c d ( sid:1; msg :m; reference: r; rev:2)")
+def test_no_attribute_holds_an_identity_key(text):
+    """Identity options become identity fields, so no exclusion list needs to name them."""
+    rules, _ = parse_ruleset(text)
+    for rule in rules:
+        assert not rule.attribute_keys() & IDENTITY_KEYS
 
 
 @DETERMINISTIC
