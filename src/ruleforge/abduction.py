@@ -33,13 +33,7 @@ from .bayes import (
 )
 from .encoding import UNK, AttributeVocabulary, encode_rule
 from .errors import RuleforgeError
-from .parser import (
-    HEADER_FIELDS,
-    VALUE_JOIN,
-    ParsedRule,
-    RuleOption,
-    serialize_rule,
-)
+from .parser import HEADER_FIELDS, ParsedRule, serialize_rule
 
 DEFAULT_LIMIT = 10_000
 DEFAULT_SID_BASE = 250_001
@@ -257,50 +251,22 @@ def threshold_sweep(
 def _apply_combination(
     seed_rule: ParsedRule, assignment: Mapping[str, str], seed_values: Mapping[str, str]
 ) -> tuple[ParsedRule, dict[str, str]]:
-    """Build the rule for one combination and record per-attribute changes."""
-    changes: dict[str, str] = {}
-    header_fields: dict[str, str] = {}
-    for attr, value in assignment.items():
-        if attr not in HEADER_FIELDS:
-            continue
-        if value == seed_values[attr]:
-            changes[attr] = "kept"
-        else:
-            header_fields[HEADER_FIELDS[attr]] = value
-            changes[attr] = "replaced"
+    """Build the rule for one combination and record per-attribute changes.
 
-    new_options: list[RuleOption] = []
-    replaced_done: set[str] = set()
-    for opt in seed_rule.options:
-        key = opt.key
-        if key not in assignment:
-            new_options.append(opt)  # not modeled: carried over verbatim
-            continue
-        value = assignment[key]
-        if value == seed_values[key]:
-            new_options.append(opt)
-            changes[key] = "kept"
-        elif value == UNK:
-            changes[key] = "dropped"
-        else:
-            changes[key] = "replaced"
-            if key not in replaced_done:
-                replaced_done.add(key)
-                for part in value.split(VALUE_JOIN):
-                    new_options.append(RuleOption(key=key, value=part))
-    # attributes the seed lacked, now given a value (insertion path)
-    for attr in sorted(assignment):
-        if attr in HEADER_FIELDS or attr in changes:
-            continue
-        value = assignment[attr]
-        if value == UNK:
+    seed_values holds the attributes the seed carries; changes follows assignment's order.
+    """
+    changes: dict[str, str] = {}
+    values: dict[str, str | None] = {}
+    for attr, value in assignment.items():
+        if value == seed_values.get(attr, UNK):
             changes[attr] = "kept"
-            continue
-        changes[attr] = "inserted"
-        for part in value.split(VALUE_JOIN):
-            new_options.append(RuleOption(key=attr, value=part))
-    header = replace(seed_rule.header, **header_fields)
-    return ParsedRule(header=header, options=tuple(new_options)), changes
+        elif attr not in seed_values:
+            changes[attr], values[attr] = "inserted", value
+        elif value == UNK:
+            changes[attr], values[attr] = "dropped", None
+        else:
+            changes[attr], values[attr] = "replaced", value
+    return seed_rule.with_attribute_values(values), changes
 
 
 def enumerate_rules(
@@ -315,19 +281,25 @@ def enumerate_rules(
     Deterministic: layer order within each attribute and the attribute order
     itself fix the output sequence. Truncates at limit (truncated flag set);
     in strict mode a would-be truncation raises CombinationOverflow instead.
+    A rule's changes list the seed's attributes in attribute_values() order
+    (the header's, then its options'), then the other attributes sorted.
     """
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
     total = graph.total_combinations() - 1
     if strict and total > limit:
         raise CombinationOverflow(f"{total} combinations exceed the limit of {limit}")
-    order = tuple(graph.layers)
-    seed_values = {attr: layer[0] for attr, layer in graph.layers.items()}
+    layers = graph.layers
+    seed_values = {attr: layers[attr][0] for attr in seed.rule.attribute_values() if attr in layers}
+    order = [*seed_values, *sorted(layers.keys() - seed_values)]
+    positions = [(attr, list(layers).index(attr)) for attr in order]
+    seed_rule = replace(seed.rule, sid=None, rev=None, msg=None, references=())
     # the seed's combination is the product's first: each layer leads with its value
-    combos = itertools.product(*graph.layers.values())
+    combos = itertools.product(*layers.values())
     rules = []
     for combo in itertools.islice(combos, 1, limit + 1):
-        rule, changes = _apply_combination(seed.rule, dict(zip(order, combo)), seed_values)
+        assignment = {attr: combo[i] for attr, i in positions}
+        rule, changes = _apply_combination(seed_rule, assignment, seed_values)
         rules.append(GeneratedRule(rule=rule, seed_sid=seed.seed_sid, changes=changes))
     return EnumerationResult(rules, truncated=total > limit)
 

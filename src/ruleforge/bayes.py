@@ -56,7 +56,7 @@ class EmptyDataset(RuleforgeError):
     """A CountTable, so fit(), was given no encoded rules."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class CountTable:
     """The training rows as the model keeps them, and the counts taken from them.
 
@@ -64,8 +64,9 @@ class CountTable:
     order, and one integer multiplicity >= 1 per row, summing to num_samples
     < 2**53; no rows raise EmptyDataset, other invalid input ValueError. rows
     keeps the sorted distinct rows, column-major so each attribute's column is
-    a contiguous view, and multiplicities how often each occurs. marginal()
-    and pair() count from those columns on every call; nothing else is kept.
+    a contiguous view, and multiplicities how often each occurs, both in
+    read-only copies. marginal() and pair() count from those columns on
+    every call; nothing else is kept.
     """
 
     rows: np.ndarray
@@ -74,13 +75,13 @@ class CountTable:
     num_samples: int = field(init=False)
 
     def __post_init__(self):
-        rows, weights = np.asarray(self.rows), np.asarray(self.multiplicities)
+        rows, weights = np.asarray(self.rows), np.array(self.multiplicities)
         if rows.shape[:1] == (0,):  # a scalar is no matrix, which _check_codes reports
             raise EmptyDataset("cannot fit on an empty dataset")
         _check_codes(rows, self.vocab)
         if weights.shape != rows.shape[:1] or weights.dtype.kind not in "iu":
             raise ValueError(f"multiplicities must be {len(rows)} integers, one per row")
-        self.num_samples = sum(weights.tolist())  # exact: an int64 sum can wrap
+        object.__setattr__(self, "num_samples", sum(weights.tolist()))  # an int64 sum could wrap
         if weights.min() < 1 or self.num_samples >= _EXACT_COUNTS:
             raise ValueError("multiplicities must be >= 1 and sum to less than 2**53")
         if not _strictly_increasing(rows):
@@ -92,8 +93,10 @@ class CountTable:
             starts = np.ones(len(rows), dtype=bool)
             np.any(rows[1:] != rows[:-1], axis=1, out=starts[1:])
             rows, weights = rows[starts], np.add.reduceat(weights[order], np.flatnonzero(starts))
-        self.rows = np.array(rows, order="F")  # a copy even of a caller's canonical rows
-        self.multiplicities = weights
+        rows = np.array(rows, order="F")  # a copy even of a caller's canonical rows
+        rows.flags.writeable = weights.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "multiplicities", weights)
 
     def column(self, attribute: str) -> np.ndarray:
         """The stored rows' codes for attribute, a view of rows."""
@@ -181,9 +184,9 @@ class PosteriorDistribution:
         return [(self.values[i], scores[i]) for i in order]
 
 
-@dataclass
+@dataclass(frozen=True)
 class SmoothedModel:
-    """Fitted counts plus the smoothing configuration; treat as immutable.
+    """Fitted counts plus the smoothing configuration, frozen once checked.
 
     The settings are checked here, for fit and load alike: alpha must be
     finite and > 0 and is kept as a float, smoothing one of SMOOTHING_MODES,
@@ -199,11 +202,11 @@ class SmoothedModel:
     def __post_init__(self):
         if not (math.isfinite(self.alpha) and self.alpha > 0):  # before float(): a str raises
             raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
-        self.alpha = float(self.alpha)
         if self.smoothing not in SMOOTHING_MODES:
             raise ValueError(f"smoothing must be one of {SMOOTHING_MODES}, got {self.smoothing!r}")
-        self.skip_unk_evidence = bool(self.skip_unk_evidence)
-        self.with_prior = bool(self.with_prior)
+        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "skip_unk_evidence", bool(self.skip_unk_evidence))
+        object.__setattr__(self, "with_prior", bool(self.with_prior))
 
     @property
     def vocab(self) -> AttributeVocabulary:

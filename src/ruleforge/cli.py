@@ -10,7 +10,8 @@ keys are the long names of any subcommand's flags (hyphens or underscores),
 its values are checked as strictly as on the command line, choices and
 ranges included, and a line whose first non-blank character is '#' is a
 comment. Flags given on the command line override the file, and the file may
-supply a flag that is otherwise required.
+supply a flag that is otherwise required. No flag may be abbreviated, and
+--config may not be repeated.
 """
 
 from __future__ import annotations
@@ -55,6 +56,9 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # no abbreviations: --conf is never --config
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); we reserve 2 for data errors
         raise UsageError(message)
 
@@ -154,14 +158,13 @@ def load_config(path: str, subs: dict[str, argparse.ArgumentParser] | None = Non
 
 
 def _extract_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise UsageError("--config requires a file path")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+    """The --config path of argv, read as the subcommands read it; given at most once."""
+    flag = _Parser(add_help=False)
+    flag.add_argument("--config", action="append", default=[])
+    paths = flag.parse_known_args(argv)[0].config
+    if len(paths) > 1:
+        raise UsageError("--config may be given only once")
+    return paths[0] if paths else None
 
 
 def _add_common(sub: argparse.ArgumentParser, out_required: bool = False) -> None:

@@ -257,16 +257,15 @@ def attach_cluster_feature(
     codes: np.ndarray,
     labels: np.ndarray,
     vocab: AttributeVocabulary,
-    *,
-    augmented_vocab: AttributeVocabulary | None = None,
+    rows: np.ndarray | None = None,
 ) -> tuple[AttributeVocabulary, np.ndarray]:
     """Add the synthetic cluster_id attribute to the vocabulary and the codes.
 
-    labels holds the cluster label of each row of codes; the label values
-    sort as strings. The returned matrix is a copy with one column inserted
-    at cluster_id's sorted place. Pass ``augmented_vocab`` to reuse a
-    vocabulary already extended with cluster labels (e.g. for test rules):
-    a label it lacks encodes as UNK. A vocabulary that already holds
+    labels holds the cluster label of each row of codes. cluster_id's values
+    are the labels of the selected rows (all of them by default), sorted as
+    strings, and any other label encodes as UNK, as vocabulary_of_codes
+    selects a fold's values. The returned matrix is a copy with one column
+    inserted at cluster_id's sorted place. A vocabulary that already holds
     cluster_id (a rule option of that name) raises RuleforgeError.
     """
     if CLUSTER_ATTRIBUTE in vocab.values:
@@ -276,11 +275,9 @@ def attach_cluster_feature(
         )
     distinct, inverse = np.unique(labels, return_inverse=True)
     names = [str(label) for label in distinct.tolist()]
-    if augmented_vocab is None:
-        augmented_vocab = AttributeVocabulary(
-            {**vocab.values, CLUSTER_ATTRIBUTE: (UNK, *sorted(names))}
-        )
-    indices = [augmented_vocab.index_of(CLUSTER_ATTRIBUTE, name) for name in names]
+    selected = np.bincount(inverse if rows is None else inverse[rows], minlength=len(names))
+    observed = sorted(name for name, count in zip(names, selected.tolist()) if count)
+    augmented = AttributeVocabulary({**vocab.values, CLUSTER_ATTRIBUTE: (UNK, *observed)})
+    indices = [augmented.index_of(CLUSTER_ATTRIBUTE, name) for name in names]
     column = np.array(indices, dtype=np.int64)[inverse]
-    position = augmented_vocab.column(CLUSTER_ATTRIBUTE)
-    return augmented_vocab, np.insert(codes, position, column, axis=1)
+    return augmented, np.insert(codes, augmented.column(CLUSTER_ATTRIBUTE), column, axis=1)

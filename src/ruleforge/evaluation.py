@@ -179,7 +179,8 @@ def loco_evaluate(
     whole corpus is clustered once and cluster_id joins the evidence — pass
     cluster_train_only to cluster each fold's training rules only and place
     held-out rules by nearest average distance. Either way the distance
-    matrix is built once, over the whole corpus; a fold reads its rows.
+    matrix is built once, over the whole corpus; a fold reads its rows. A
+    held-out rule whose cluster holds no training rule gets cluster_id UNK.
     """
     if spec is None:
         spec = SplitSpec()
@@ -218,6 +219,7 @@ def loco_evaluate(
         train_codes, test_codes = codes[train_ids], codes[test_ids]
         model = fit(train_codes, vocab, alpha, **model_options)
 
+        scorers = [(CLASSIFIER_BAYES, model, test_codes)]
         if with_clusters:
             if cluster_train_only:
                 # the fold's own copy of its rows of D, merged in place and
@@ -229,31 +231,23 @@ def loco_evaluate(
                     cut_count=cut_count,
                     overwrite=True,
                 ).labels
-                test_labels = np.array(
-                    [_nearest_cluster(matrix.entries[i, train_ids], train_labels) for i in test_ids]
-                )
-            else:
-                train_labels, test_labels = labels[train_ids], labels[test_ids]
-            cluster_vocab, cluster_train_codes = attach_cluster_feature(
-                train_codes, train_labels, vocab
-            )
-            _, cluster_test_codes = attach_cluster_feature(
-                test_codes, test_labels, vocab, augmented_vocab=cluster_vocab
-            )
-            cluster_model = fit(cluster_train_codes, cluster_vocab, alpha, **model_options)
+                labels = np.empty(n, dtype=train_labels.dtype)
+                labels[train_ids] = train_labels
+                labels[test_ids] = [
+                    _nearest_cluster(matrix.entries[i, train_ids], train_labels) for i in test_ids
+                ]
+            cluster_vocab, cluster_codes = attach_cluster_feature(codes, labels, vocab, train_ids)
+            cluster_model = fit(cluster_codes[train_ids], cluster_vocab, alpha, **model_options)
+            scorers.append((CLASSIFIER_BAYES_CLUSTER, cluster_model, cluster_codes[test_ids]))
 
         for attr_index, attribute in enumerate(vocab.attributes):
             values = vocab.values[attribute]
             true_codes = test_truth[:, attr_index]
 
-            picks = predict_mle_rows(model, test_codes, attribute)
-            accuracy = np.count_nonzero(picks == true_codes) / len(test_ids)
-            record(attribute, CLASSIFIER_BAYES, fold_index, accuracy)
-
-            if with_clusters:
-                picks = predict_mle_rows(cluster_model, cluster_test_codes, attribute)
+            for classifier, scorer, held_out in scorers:
+                picks = predict_mle_rows(scorer, held_out, attribute)
                 accuracy = np.count_nonzero(picks == true_codes) / len(test_ids)
-                record(attribute, CLASSIFIER_BAYES_CLUSTER, fold_index, accuracy)
+                record(attribute, classifier, fold_index, accuracy)
 
             rng = np.random.default_rng([spec.rng_seed, fold_index, attr_index])
             accuracy = baseline_random(true_codes, values, rng)

@@ -39,8 +39,8 @@ import io
 import operator
 import re
 import sys
-from dataclasses import dataclass, fields
-from typing import TextIO
+from dataclasses import dataclass, fields, replace
+from typing import Mapping, TextIO
 
 from .errors import RuleforgeError
 
@@ -153,6 +153,34 @@ class ParsedRule:
 
     def attribute_keys(self) -> frozenset[str]:
         return frozenset(self.attribute_values())
+
+    def with_attribute_values(self, values: Mapping[str, str | None]) -> ParsedRule:
+        """A copy with the given attribute values: the inverse of attribute_values().
+
+        A header attribute's value replaces its field (None raises ValueError).
+        An option key's value, split at VALUE_JOIN, takes the place of the
+        key's first option, whose other options are dropped; None drops them
+        all. A key the rule lacks is appended in the mapping's order. Identity
+        fields and the attributes values leaves out are kept.
+        """
+        keys = dict(values)
+        header_fields = {HEADER_FIELDS[a]: keys.pop(a) for a in HEADER_ATTRIBUTES if a in keys}
+        if None in header_fields.values():
+            raise ValueError(f"a header attribute cannot be removed: {dict(values)!r}")
+        unplaced = {
+            key: [] if value is None else [RuleOption(key, v) for v in value.split(VALUE_JOIN)]
+            for key, value in keys.items()
+        }
+        options: list[RuleOption] = []
+        for opt in self.options:
+            if opt.key not in keys:
+                options.append(opt)
+            elif opt.key in unplaced:
+                options += unplaced.pop(opt.key)
+        for added in unplaced.values():
+            options += added
+        header = replace(self.header, **header_fields) if header_fields else self.header
+        return ParsedRule(header, tuple(options), self.sid, self.rev, self.msg, self.references)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,9 @@ copy) where the package keeps one, build_vocabulary and encode_corpus
 walk every rule's attribute_values() dict where the package reads the codes
 of one factorization, and loco_evaluate_strings scores the evaluation fold
 loop on value strings, one prediction at a time, where the package compares
-the codes of one matrix per fold.
+the codes of one matrix per fold, and apply_combination builds a generated
+rule option by option where the package asks the parser's
+ParsedRule.with_attribute_values for it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from __future__ import annotations
 import io
 import itertools
 from collections import Counter
+from dataclasses import replace
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -41,7 +44,14 @@ from ruleforge.evaluation import (
     SplitSpec,
     make_folds,
 )
-from ruleforge.parser import ParsedRule, UnterminatedOption, parse_ruleset
+from ruleforge.parser import (
+    HEADER_FIELDS,
+    VALUE_JOIN,
+    ParsedRule,
+    RuleOption,
+    UnterminatedOption,
+    parse_ruleset,
+)
 
 UNK = "UNK"
 
@@ -545,3 +555,64 @@ def loco_evaluate_strings(
         accuracies=accuracies,
     )
     return report.to_csv()
+
+
+# ---------------------------------------------------------------------------
+# rule generation: each combination's rule built option by option
+
+
+def apply_combination(
+    seed_rule: ParsedRule, assignment: dict[str, str], seed_values: dict[str, str]
+) -> tuple[ParsedRule, dict[str, str]]:
+    """The rule of one combination, without identity, and its per-attribute changes."""
+    changes: dict[str, str] = {}
+    header_fields: dict[str, str] = {}
+    for attr, value in assignment.items():
+        if attr not in HEADER_FIELDS:
+            continue
+        if value == seed_values[attr]:
+            changes[attr] = "kept"
+        else:
+            header_fields[HEADER_FIELDS[attr]] = value
+            changes[attr] = "replaced"
+
+    new_options: list[RuleOption] = []
+    replaced_done: set[str] = set()
+    for opt in seed_rule.options:
+        key = opt.key
+        if key not in assignment:
+            new_options.append(opt)  # not modeled: carried over verbatim
+            continue
+        value = assignment[key]
+        if value == seed_values[key]:
+            new_options.append(opt)
+            changes[key] = "kept"
+        elif value == UNK:
+            changes[key] = "dropped"
+        else:
+            changes[key] = "replaced"
+            if key not in replaced_done:
+                replaced_done.add(key)
+                for part in value.split(VALUE_JOIN):
+                    new_options.append(RuleOption(key=key, value=part))
+    # attributes the seed lacked, now given a value (insertion path)
+    for attr in sorted(assignment):
+        if attr in HEADER_FIELDS or attr in changes:
+            continue
+        value = assignment[attr]
+        if value == UNK:
+            changes[attr] = "kept"
+            continue
+        changes[attr] = "inserted"
+        for part in value.split(VALUE_JOIN):
+            new_options.append(RuleOption(key=attr, value=part))
+    header = replace(seed_rule.header, **header_fields)
+    return ParsedRule(header=header, options=tuple(new_options)), changes
+
+
+def enumerate_rules(graph, seed, limit: int) -> list[tuple[ParsedRule, dict[str, str]]]:
+    """apply_combination over the graph's product in order, the seed's own left out."""
+    order = tuple(graph.layers)
+    seed_values = {attr: layer[0] for attr, layer in graph.layers.items()}
+    combos = itertools.islice(itertools.product(*graph.layers.values()), 1, limit + 1)
+    return [apply_combination(seed.rule, dict(zip(order, combo)), seed_values) for combo in combos]

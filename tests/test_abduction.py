@@ -5,9 +5,11 @@ exact rational arithmetic over the fixture corpora.
 """
 
 import copy
+from collections import Counter
 
 import pytest
 
+import oracles
 from ruleforge import (
     UNK,
     VALUE_JOIN,
@@ -324,3 +326,26 @@ class TestMaterialize:
         seed = SeedObservation.from_rule(table2_rules[0], vocab)
         assert seed.vocab is vocab
         assert seed.seed_sid == table2_rules[0].sid
+
+
+@pytest.mark.parametrize("allow_insertion", [False, True])
+@pytest.mark.parametrize(
+    "strategy", [Strategy.topk(3), Strategy.threshold(0.01)], ids=["topk", "threshold"]
+)
+def test_generated_rules_match_the_option_by_option_reference(
+    sample_rules, strategy, allow_insertion
+):
+    """Every sample rule as the seed: the same rules, and changes in the same key order."""
+    labels = Counter()
+    for index in range(len(sample_rules)):
+        result, graph, seed = generate_from(
+            sample_rules, index, strategy, allow_insertion=allow_insertion, limit=2000
+        )
+        expected = oracles.enumerate_rules(graph, seed, 2000)
+        assert len(result) == len(expected)
+        for generated, (rule, changes) in zip(result, expected):
+            assert generated.rule == rule
+            assert list(generated.changes.items()) == list(changes.items())
+            labels.update(changes.values())
+    assert labels["kept"] and labels["replaced"] and labels["dropped"]
+    assert bool(labels["inserted"]) == allow_insertion

@@ -1,5 +1,6 @@
 """Smoothed pairwise-conditional model against independent recomputation."""
 
+import dataclasses
 import itertools
 import json
 import tracemalloc
@@ -607,6 +608,36 @@ def test_fit_copies_rows_that_are_already_canonical(ten_rule_corpus):
     refit = fit(rows, vocab)
     assert np.array_equal(refit.counts.rows, rows)
     assert not np.shares_memory(refit.counts.rows, rows)
+
+
+def test_a_checked_model_cannot_be_changed(sample_corpus_path):
+    """Each mutation that let to_json write a file load rejects now raises."""
+    model = SmoothedModel.load(str(sample_corpus_path.with_suffix(".model.json")))
+    text = model.to_json()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.alpha = -1.0
+    with pytest.raises(ValueError, match="read-only"):
+        model.counts.rows[0, 0] = 10**6
+    with pytest.raises(ValueError, match="read-only"):
+        model.counts.multiplicities[0] = 5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.counts = CountTable(model.counts.rows, model.counts.multiplicities, model.vocab)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        model.counts.num_samples = 1
+    assert model.to_json() == text
+
+
+def test_count_table_copies_the_callers_arrays(ten_rule_corpus):
+    """The caller's arrays stay writable, and writing them changes no table."""
+    model, vocab = fit_dicts(ten_rule_corpus)
+    rows, weights = model.counts.rows.copy(), model.counts.multiplicities.copy()
+    table = CountTable(rows, weights, vocab)
+    assert rows.flags.writeable and weights.flags.writeable
+    weights[0] += 1
+    rows[0, 0] = 0
+    assert np.array_equal(table.multiplicities, model.counts.multiplicities)
+    assert np.array_equal(table.rows, model.counts.rows)
+    assert table.num_samples == model.counts.num_samples
 
 
 @DETERMINISTIC

@@ -710,6 +710,31 @@ class TestConfigFile:
     def test_missing_config_file(self, table2_file):
         assert run(["parse", "--config", "/nonexistent.conf", "--rules", table2_file]) == 1
 
+    def test_abbreviated_config_flag_is_usage_error(self, tmp_path, capsys, table2_file):
+        """--conf would reach argparse as --config, unread by the config loader."""
+        config = tmp_path / "forge.conf"
+        config.write_text("lint = true\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run(["parse", "--rules", table2_file, "--conf", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage error: unrecognized arguments: --conf")
+        assert run(["parse", "--rules", table2_file, "--conf=missing.txt"]) == 1
+
+    def test_repeated_config_flag_is_usage_error(self, tmp_path, capsys, table2_file):
+        first, second = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        first.write_text("lint = true\n", encoding="utf-8")
+        second.write_text("lint = false\n", encoding="utf-8")
+        for extra in (["--config", str(second)], [f"--config={second}"]):
+            capsys.readouterr()
+            assert run(["parse", "--rules", table2_file, "--config", str(first), *extra]) == 1
+            assert capsys.readouterr().err == "usage error: --config may be given only once\n"
+
+    def test_no_parser_takes_an_abbreviated_flag(self, tmp_path):
+        parser, subs = cli.build_parser()
+        assert not any(p.allow_abbrev for p in [parser, *subs.values()])
+        assert run(["parse", "--rul", str(tmp_path / "missing.rules")]) == 1
+
     def test_a_value_breaks_only_at_a_line_end(self, tmp_path, table2_file):
         """\x1c, a form feed, \x85 or U+2028 in a value stays in it, as on the command line."""
         out = tmp_path / "a\x1cb\x0cc\x85d\u2028e.txt"

@@ -394,12 +394,10 @@ class TestAttachClusterFeature:
         assert np.array_equal(codes, before)
 
     def test_uncovered_rule_gets_unk(self, base):
-        # a label the reused vocabulary does not cover encodes as UNK
+        # a label that only unselected rows carry encodes as UNK
         vocab, codes = base
-        augmented, _ = attach_cluster_feature(codes[:2], np.array([0, 0]), vocab)
-        _, records = attach_cluster_feature(
-            codes, np.array([0, 0, 1]), vocab, augmented_vocab=augmented
-        )
+        augmented, records = attach_cluster_feature(codes, np.array([0, 0, 1]), vocab, [0, 1])
+        assert augmented.values[CLUSTER_ATTRIBUTE] == (UNK, "0")
         assert records[:, augmented.attributes.index(CLUSTER_ATTRIBUTE)].tolist() == [1, 1, 0]
 
     def test_labels_sort_as_strings(self, base):
@@ -409,14 +407,26 @@ class TestAttachClusterFeature:
         assert records[:, augmented.attributes.index(CLUSTER_ATTRIBUTE)].tolist() == [1, 2, 1]
 
     def test_augmented_vocabulary_reuse(self, base):
+        """The selected rows' vocabulary and codes are those of their rows alone."""
         vocab, codes = base
-        augmented, _ = attach_cluster_feature(codes[:2], np.array([0, 1]), vocab)
-        # held-out row with a label the training vocabulary never saw
-        again, records = attach_cluster_feature(
-            codes[2:], np.array([5]), vocab, augmented_vocab=augmented
-        )
-        assert again is augmented
-        assert records[0, augmented.attributes.index(CLUSTER_ATTRIBUTE)] == 0  # unseen -> UNK
+        labels = np.array([0, 1, 5])
+        alone, alone_records = attach_cluster_feature(codes[:2], labels[:2], vocab)
+        augmented, records = attach_cluster_feature(codes, labels, vocab, rows=np.array([0, 1]))
+        assert augmented == alone
+        assert np.array_equal(records[:2], alone_records)
+        # the held-out row's label, which no selected row carries, is UNK
+        assert records[2, augmented.attributes.index(CLUSTER_ATTRIBUTE)] == 0
+        assert np.array_equal(np.delete(records, augmented.column(CLUSTER_ATTRIBUTE), 1), codes)
+
+    @pytest.mark.parametrize("selected", [[], None])
+    def test_no_selected_label_leaves_unk_alone(self, base, selected):
+        vocab, codes = base
+        if selected is None:  # no rows at all
+            codes, selected = codes[:0], None
+        labels = np.arange(len(codes))
+        augmented, records = attach_cluster_feature(codes, labels, vocab, selected)
+        assert augmented.values[CLUSTER_ATTRIBUTE] == (UNK,)
+        assert not records[:, augmented.column(CLUSTER_ATTRIBUTE)].any()
 
     def test_corpus_with_a_cluster_id_option_rejected(self):
         # its option's column would sit beside the label column under one name

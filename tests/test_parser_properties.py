@@ -10,7 +10,7 @@ import sys
 import time
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,6 +23,7 @@ from ruleforge import (
     serialize_rule,
 )
 from ruleforge.parser import (
+    HEADER_ATTRIBUTES,
     ParseError,
     RuleSyntaxError,
     UnterminatedOption,
@@ -380,3 +381,64 @@ def test_unterminated_quote_fails_in_linear_time():
         _split_options(body, 5)
     assert time.perf_counter() - started < 1.0
     assert info.value.offset == 5
+
+
+@settings(DETERMINISTIC, max_examples=200)
+@given(text=st.one_of(RULES_TEXT, REUSED_TEXT), donor=st.one_of(RULES_TEXT, REUSED_TEXT),
+       data=st.data())
+@example(
+    text="alert tcp a b -> c d (content:x; flow:f; content:y; nocase; sid:1; msg:m)",
+    donor="drop udp e f <> g h (content:u; content:v; pcre:p; flow:z)",
+    data=None,
+)
+def test_with_attribute_values_inverts_attribute_values(text, donor, data):
+    """Set, remove and add random keys: attribute_values() reads back what was given.
+
+    The values come from the donor's rules, so every result serializes; a key
+    set keeps its place, a removed key leaves, a new key is appended in the
+    mapping's order, and the rule it was made from is unchanged.
+    """
+    rules, _ = parse_ruleset(text)
+    pool = {}
+    for rule in parse_ruleset(donor)[0]:
+        pool.update(rule.attribute_values())
+    for rule in rules:
+        assume(not {opt.key for opt in rule.options} & set(HEADER_ATTRIBUTES))
+        before = dataclasses.replace(rule)
+        assert rule.with_attribute_values({}) == rule
+        current = rule.attribute_values()
+        keys = sorted(current.keys() | pool.keys())
+        if data is None:  # the explicit example: every key set, or removed where it may be
+            edits = [(key, "set" if key in pool else "remove") for key in keys]
+        else:
+            edits = [
+                (key, data.draw(st.sampled_from(["keep", "set", "remove"])))
+                for key in data.draw(st.permutations(keys))
+            ]
+        values = {}
+        for key, edit in edits:
+            if edit == "set" and key in pool:
+                values[key] = pool[key]
+            elif edit == "remove" and key not in HEADER_ATTRIBUTES:
+                values[key] = None
+        expected = dict(current)
+        for key, value in values.items():
+            if value is None:
+                expected.pop(key, None)
+            else:
+                expected[key] = value
+        result = rule.with_attribute_values(values)
+        assert list(result.attribute_values().items()) == list(expected.items())
+        assert (result.sid, result.rev, result.msg, result.references) == (
+            rule.sid, rule.rev, rule.msg, rule.references
+        )
+        assert parse_rule(serialize_rule(result)) == result
+        assert rule == before
+
+
+def test_a_header_attribute_cannot_be_removed():
+    rule = parse_rule("alert tcp a b -> c d (flow:x; sid:1)")
+    for attr in HEADER_ATTRIBUTES:
+        with pytest.raises(ValueError, match=attr):
+            rule.with_attribute_values({attr: None})
+    assert rule.with_attribute_values({"absent": None}) == rule
