@@ -418,15 +418,13 @@ class TestAttachClusterFeature:
         assert records[2, augmented.attributes.index(CLUSTER_ATTRIBUTE)] == 0
         assert np.array_equal(np.delete(records, augmented.column(CLUSTER_ATTRIBUTE), 1), codes)
 
-    @pytest.mark.parametrize("selected", [[], None])
-    def test_no_selected_label_leaves_unk_alone(self, base, selected):
+    def test_no_selected_label_leaves_unk_alone(self, base):
+        """No row selected, or no row at all: cluster_id holds UNK alone."""
         vocab, codes = base
-        if selected is None:  # no rows at all
-            codes, selected = codes[:0], None
-        labels = np.arange(len(codes))
-        augmented, records = attach_cluster_feature(codes, labels, vocab, selected)
-        assert augmented.values[CLUSTER_ATTRIBUTE] == (UNK,)
-        assert not records[:, augmented.column(CLUSTER_ATTRIBUTE)].any()
+        for chosen, rows in [(codes, []), (codes[:0], None)]:
+            augmented, records = attach_cluster_feature(chosen, np.arange(len(chosen)), vocab, rows)
+            assert augmented.values[CLUSTER_ATTRIBUTE] == (UNK,)
+            assert not records[:, augmented.column(CLUSTER_ATTRIBUTE)].any()
 
     def test_corpus_with_a_cluster_id_option_rejected(self):
         # its option's column would sit beside the label column under one name
